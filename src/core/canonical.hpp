@@ -3,9 +3,10 @@
 /// \brief Representation-independent canonical quadrant form + conversions.
 ///
 /// Each representation scales coordinates to its own maximum level L (29,
-/// 18/28, 30, 40/60 — see DESIGN.md §5). The canonical form rescales all
-/// of them to one fixed 2^60 grid so quadrants from different encodings can
-/// be compared, converted, and property-tested for logical equivalence:
+/// 18/28, 30, 40/60 — see ARCHITECTURE.md, "Quadrant encodings and the
+/// domain"). The canonical form rescales all of them to one fixed 2^60
+/// grid so quadrants from different encodings can be compared, converted,
+/// and property-tested for logical equivalence:
 /// two quadrants are *the same* mesh primitive iff their canonical forms
 /// are equal.
 

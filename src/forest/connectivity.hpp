@@ -9,7 +9,8 @@
 /// and every workload used in the paper and in our examples. Face
 /// connections carry no rotation: the neighbor across face f adjoins
 /// through its face f^1 with identity orientation (p4est's general
-/// corner/orientation codes are out of scope; see DESIGN.md §2).
+/// corner/orientation codes are out of scope; see ARCHITECTURE.md,
+/// "Quadrant encodings and the domain").
 
 #include <array>
 #include <cstdint>

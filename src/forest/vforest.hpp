@@ -1,28 +1,39 @@
 #pragma once
 /// \file vforest.hpp
-/// \brief VForest: high-level AMR algorithms over the *runtime* virtual
-/// quadrant interface.
+/// \brief VForest: a forest whose quadrant representation is chosen at
+/// run time.
 ///
 /// The paper's conclusion describes "a new branch of high-level algorithms
 /// that operate on virtualized quadrants" so the representation becomes a
 /// run-time choice (configuration file, CLI flag) instead of a template
-/// parameter. VForest is that branch: a non-template forest working purely
-/// through VirtualQuadrantOps. It trades per-operation virtual dispatch
-/// (quantified by bench_virtual) for a single compiled instantiation.
+/// parameter. VForest provides that choice as a thin facade: it holds one
+/// of the eight shipped Forest<R> instantiations (4 representations x
+/// 2D/3D) in a std::variant, picked by new_uniform from (kind, dim), and
+/// every later call is a single std::visit into the matching Forest<R>
+/// method. There is no second copy of any AMR algorithm: VForest runs the
+/// same batched, tree x chunk-parallel code as Forest<R>, so its meshes
+/// are identical to the template forest's by construction.
 ///
-/// The supported algorithm subset mirrors Forest<R>: uniform creation,
-/// refine, coarsen, 2:1 balance via the same neighborhood logic, search,
-/// and validity checking; test_vforest.cpp verifies it produces meshes
-/// canonically identical to the template forest.
+/// Callbacks keep representation-neutral VQuad signatures; each quadrant
+/// (for coarsen, each family) is boxed through VirtualOpsAdapter<R>.
+/// Because the work runs in Forest<R>, the refine and coarsen callbacks
+/// may run concurrently, under the same contract and opt-outs as
+/// Forest<R>'s (set_tree_parallelism / set_intra_tree_parallelism);
+/// search() stays a serial traversal. ops() exposes the per-quadrant
+/// virtual interface whose dispatch cost bench_virtual measures.
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <stdexcept>
+#include <variant>
 #include <vector>
 
+#include "core/quadrant_avx.hpp"
+#include "core/quadrant_morton.hpp"
+#include "core/quadrant_std.hpp"
+#include "core/quadrant_wide.hpp"
 #include "core/virtual_ops.hpp"
 #include "forest/connectivity.hpp"
+#include "forest/forest.hpp"
 #include "forest/point_query.hpp"
 
 namespace qforest {
@@ -31,12 +42,14 @@ namespace qforest {
 class VForest {
  public:
   using refine_fn = std::function<bool(tree_id_t, const VQuad&)>;
+  /// coarsen callback: (tree, family of 2^dim boxed quadrants) -> coarsen?
   using coarsen_fn = std::function<bool(tree_id_t, const VQuad*)>;
   /// search callback: (tree, ancestor, first, last, is_leaf) -> descend?
   using search_fn = std::function<bool(tree_id_t, const VQuad&, std::size_t,
                                        std::size_t, bool)>;
 
-  /// Uniformly refined forest with representation \p kind.
+  /// Uniformly refined forest with representation \p kind; the dimension
+  /// is \p conn's. Throws std::invalid_argument on a bad level or dim.
   static VForest new_uniform(RepKind kind, Connectivity conn, int level);
 
   /// Root-only forest.
@@ -46,37 +59,33 @@ class VForest {
 
   [[nodiscard]] const VirtualQuadrantOps& ops() const { return *ops_; }
   [[nodiscard]] RepKind kind() const { return kind_; }
-  [[nodiscard]] const Connectivity& connectivity() const { return conn_; }
-  [[nodiscard]] tree_id_t num_trees() const {
-    return static_cast<tree_id_t>(trees_.size());
-  }
+  [[nodiscard]] const Connectivity& connectivity() const;
+  [[nodiscard]] tree_id_t num_trees() const;
   [[nodiscard]] std::int64_t num_quadrants() const;
-  [[nodiscard]] const std::vector<VQuad>& tree_quadrants(tree_id_t t) const {
-    return trees_[static_cast<std::size_t>(t)];
-  }
+  /// Leaves of tree \p t in curve order, boxed (a copy).
+  [[nodiscard]] std::vector<VQuad> tree_quadrants(tree_id_t t) const;
   [[nodiscard]] int max_level_used() const;
 
-  /// p4est-style refinement; recursive re-examines children.
+  /// Forest<R>::refine; recursive re-examines children.
   void refine(bool recursive, const refine_fn& should_refine);
 
-  /// Replace accepted complete families by their parent.
+  /// Forest<R>::coarsen: replace accepted complete families by their
+  /// parent.
   void coarsen(bool recursive, const coarsen_fn& should_coarsen);
 
-  /// Enforce the 2:1 condition across faces/edges/corners.
+  /// Enforce the 2:1 condition across faces/edges/corners (kFull).
   void balance();
 
-  /// Check the 2:1 condition.
+  /// Check the kFull 2:1 condition.
   [[nodiscard]] bool is_balanced() const;
 
-  /// Top-down traversal with pruning.
+  /// Top-down traversal with pruning (Forest<R>::search).
   void search(const search_fn& cb) const;
 
-  /// Batched point location: the global index of the leaf containing each
-  /// canonical query point (see point_query.hpp), in input order. Same
-  /// contract as Forest<R>::search_points — queries are grouped per tree,
-  /// sorted in curve order and resolved with one sorted-merge sweep, so m
-  /// points cost one sort plus one sweep instead of m binary searches.
-  /// Throws std::invalid_argument when a query lies outside the domain.
+  /// Batched point location, same contract as Forest<R>::search_points:
+  /// the global index of the leaf containing each canonical query point
+  /// (see point_query.hpp), in input order. Throws std::invalid_argument
+  /// when a query lies outside the domain.
   [[nodiscard]] std::vector<std::int64_t> search_points(
       const std::vector<PointQuery>& queries) const;
 
@@ -84,33 +93,18 @@ class VForest {
   [[nodiscard]] bool is_valid() const;
 
  private:
-  VForest(RepKind kind, Connectivity conn);
+  using Variant =
+      std::variant<Forest<StandardRep<2>>, Forest<StandardRep<3>>,
+                   Forest<MortonRep<2>>, Forest<MortonRep<3>>,
+                   Forest<AvxRep<2>>, Forest<AvxRep<3>>,
+                   Forest<WideMortonRep<2>>, Forest<WideMortonRep<3>>>;
 
-  [[nodiscard]] bool leaf_less(const VQuad& a, const VQuad& b) const {
-    return ops_->less(a, b);
-  }
-
-  /// Same-level neighbor displaced by (dx,dy,dz); nullopt at the domain
-  /// boundary. Implemented via the exact canonical form, so it is valid
-  /// for every representation at every level.
-  [[nodiscard]] std::optional<std::pair<tree_id_t, VQuad>> neighbor_at(
-      tree_id_t t, const VQuad& q, int dx, int dy, int dz) const;
-
-  [[nodiscard]] std::optional<std::size_t> enclosing_leaf(
-      tree_id_t t, const VQuad& q) const;
-
-  bool is_family_at(const std::vector<VQuad>& tree, std::size_t i) const;
-
-  bool complete_range(const VQuad& anc, const VQuad* begin,
-                      const VQuad* end) const;
-
-  void search_recursion(tree_id_t t, const VQuad& anc, std::size_t begin,
-                        std::size_t end, const search_fn& cb) const;
+  VForest(RepKind kind, const VirtualQuadrantOps& ops, Variant forest)
+      : kind_(kind), ops_(&ops), forest_(std::move(forest)) {}
 
   RepKind kind_;
   const VirtualQuadrantOps* ops_;
-  Connectivity conn_;
-  std::vector<std::vector<VQuad>> trees_;
+  Variant forest_;
 };
 
 }  // namespace qforest

@@ -10,8 +10,9 @@
 /// into T contiguous chunks, run each chunk's loop serially, time each
 /// chunk with the per-thread CPU clock, and report the maximum — what
 /// MPI_Wtime around an MPI_Barrier'ed loop would measure, minus noise.
-/// See DESIGN.md §4 for why this substitution preserves the figures'
-/// scientific content (relative representation speedups per task count).
+/// See ARCHITECTURE.md, "The distributed layer", for why this
+/// substitution preserves the figures' scientific content (relative
+/// representation speedups per task count).
 
 #include <cstddef>
 #include <cstdint>

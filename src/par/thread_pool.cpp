@@ -10,7 +10,10 @@
 
 namespace qforest::par {
 
-ThreadPool::ThreadPool(unsigned threads) {
+ThreadPool::ThreadPool(unsigned threads)
+    : c_idle_wait_ns_(obs::counter("par.pool.idle_wait_ns")),
+      c_tasks_(obs::counter("par.pool.tasks")),
+      c_helped_tasks_(obs::counter("par.pool.helped_tasks")) {
   if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
@@ -178,8 +181,7 @@ bool ThreadPool::try_run_one() {
       return false;
     }
   }
-  static obs::Counter& c_helped = obs::counter("par.pool.helped_tasks");
-  c_helped.add(1);
+  c_helped_tasks_.add(1);
   run_accounted(task);
   return true;
 }
@@ -199,17 +201,11 @@ void ThreadPool::run_accounted(std::function<void()>& task) {
       }
     }
   } guard{this};
-  static obs::Counter& c_tasks = obs::counter("par.pool.tasks");
-  c_tasks.add(1);
+  c_tasks_.add(1);
   task();
 }
 
 void ThreadPool::worker_loop() {
-  // Looked up before any lock acquisition: registering a metric takes
-  // the obs registry lock, and the first worker to block used to take it
-  // under mutex_ (a pool -> registry nesting qf_check's lock-order graph
-  // would carry forever for one cold-path static init).
-  static obs::Counter& c_idle = obs::counter("par.pool.idle_wait_ns");
   for (;;) {
     std::function<void()> task;
     {
@@ -219,7 +215,7 @@ void ThreadPool::worker_loop() {
         while (!stop_ && queue_.empty()) {
           cv_task_.wait(lock);
         }
-        c_idle.add(static_cast<std::uint64_t>(
+        c_idle_wait_ns_.add(static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
                 std::chrono::steady_clock::now() - wait_start)
                 .count()));

@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace qforest::par {
@@ -73,6 +74,17 @@ class ThreadPool {
   /// Move the next queued task into \p out; false when the queue is
   /// empty. Callers own the dequeue ordering, hence the held lock.
   bool pop_task_locked(std::function<void()>& out) QF_REQUIRES(mutex_);
+
+  /// Pool metrics, looked up in the constructor before any worker starts
+  /// (and before any lock is taken — registering a metric takes the obs
+  /// registry lock). The lookup constructs the function-local obs
+  /// registry before the pool finishes constructing, so the registry is
+  /// destroyed after the pool joins its workers; a worker looking it up
+  /// lazily could let a static pool outlive it and record into freed
+  /// memory at process exit.
+  obs::Counter& c_idle_wait_ns_;
+  obs::Counter& c_tasks_;
+  obs::Counter& c_helped_tasks_;
 
   std::vector<std::thread> workers_;
   /// Guards the task queue and the lifecycle/quiescence state below;

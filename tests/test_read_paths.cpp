@@ -290,21 +290,37 @@ TEST(ReadPaths, SearchPointsRejectsOutOfDomain) {
       std::invalid_argument);
 }
 
-TEST(ReadPaths, VForestSearchPointsMatchesTemplateForest) {
-  // Same uniform mesh in both stacks: identical curve order, so global
-  // indices must agree query-for-query.
-  const int level = 3;
-  const auto f = Forest<S2>::new_uniform(Connectivity::unit(2), level);
-  const auto vf =
-      VForest::new_uniform(RepKind::kStandard, Connectivity::unit(2), level);
+/// The same refined mesh in both stacks: identical curve order, so global
+/// indices must agree query-for-query.
+template <class R>
+void expect_vforest_search_points_match(RepKind kind) {
+  const int base = R::dim == 3 ? 2 : 3;
+  const auto f = make_refined<R>(Connectivity::unit(R::dim), base, 1);
+  auto vf = VForest::new_uniform(kind, Connectivity::unit(R::dim), base);
+  const auto& ops = vf.ops();
+  vf.refine(false, [&](tree_id_t t, const VQuad& q) {
+    return (ops.level_index(q) + static_cast<morton_t>(t)) % 5 == 0;
+  });
+  ASSERT_EQ(vf.num_quadrants(), f.num_quadrants()) << R::name;
   Xoshiro256 rng(99);
-  const auto pts = random_points(rng, 2, 1, 300);
+  const auto pts = random_points(rng, R::dim, 1, 300);
   const std::vector<gidx_t> expected = f.search_points(pts);
   const std::vector<std::int64_t> got = vf.search_points(pts);
   ASSERT_EQ(got.size(), expected.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], expected[i]) << i;
+    EXPECT_EQ(got[i], expected[i]) << R::name << " " << i;
   }
+}
+
+TEST(ReadPaths, VForestSearchPointsMatchesTemplateForest) {
+  expect_vforest_search_points_match<StandardRep<2>>(RepKind::kStandard);
+  expect_vforest_search_points_match<StandardRep<3>>(RepKind::kStandard);
+  expect_vforest_search_points_match<MortonRep<2>>(RepKind::kMorton);
+  expect_vforest_search_points_match<MortonRep<3>>(RepKind::kMorton);
+  expect_vforest_search_points_match<AvxRep<2>>(RepKind::kAvx);
+  expect_vforest_search_points_match<AvxRep<3>>(RepKind::kAvx);
+  expect_vforest_search_points_match<WideMortonRep<2>>(RepKind::kWideMorton);
+  expect_vforest_search_points_match<WideMortonRep<3>>(RepKind::kWideMorton);
 }
 
 }  // namespace

@@ -73,13 +73,15 @@ TEST(VForest, RefineMatchesTemplateForest) {
 
 TEST(VForest, CoarsenInvertsRefine) {
   for (const RepKind kind : kAllKinds) {
-    auto f = VForest::new_uniform(kind, Connectivity::unit(2), 3);
-    const std::int64_t before = f.num_quadrants();
-    f.refine(false, [](tree_id_t, const VQuad&) { return true; });
-    EXPECT_EQ(f.num_quadrants(), before * 4);
-    f.coarsen(false, [](tree_id_t, const VQuad*) { return true; });
-    EXPECT_EQ(f.num_quadrants(), before);
-    EXPECT_TRUE(f.is_valid());
+    for (int dim : {2, 3}) {
+      auto f = VForest::new_uniform(kind, Connectivity::unit(dim), 3);
+      const std::int64_t before = f.num_quadrants();
+      f.refine(false, [](tree_id_t, const VQuad&) { return true; });
+      EXPECT_EQ(f.num_quadrants(), before << dim);
+      f.coarsen(false, [](tree_id_t, const VQuad*) { return true; });
+      EXPECT_EQ(f.num_quadrants(), before);
+      EXPECT_TRUE(f.is_valid()) << rep_kind_name(kind) << " dim " << dim;
+    }
   }
 }
 
