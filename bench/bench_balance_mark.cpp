@@ -1,21 +1,22 @@
 /// \file bench_balance_mark.cpp
-/// \brief Balance mark-phase ablation: the batched mark phase (bulk
-/// neighbor keys through BatchOps<R>::neighbor_at_offset_n + one sorted-
-/// merge sweep per target tree, per-tree parallel) against the scalar
-/// per-quadrant reference path (neighbor_at_offset + upper_bound per
-/// (leaf, offset) pair), selected by the batch kill switch exactly like
-/// the kernel dispatch ablation.
+/// \brief Balance mark-phase ablation: Forest::balance (bulk neighbor keys
+/// through BatchOps<R>::neighbor_at_offset_n + grid / sorted-merge
+/// lookups, tree- and chunk-parallel) against the scalar per-quadrant
+/// reference oracle::balance of tests/forest_oracle.hpp
+/// (neighbor_at_offset + upper_bound per (leaf, offset) pair), which runs
+/// over the generic kernels.
 ///
 /// Two timings per representation:
 ///   - balance:   full 2:1 enforcement of an unbalanced sphere-band mesh
 ///                (mark + apply until fixpoint);
-///   - mark-only: balance() of the already-balanced result — one complete
-///                mark sweep that finds nothing, no apply, no rebuild —
-///                the purest measurement of the mark phase itself.
+///   - mark-only: one complete mark sweep of the already-balanced result
+///                that finds nothing — balance() for the library,
+///                oracle::mark_sweep for the reference; no apply, no
+///                rebuild — the purest measurement of the mark phase.
 ///
-/// The two dispatch paths must agree on the final mesh leaf-for-leaf; the
-/// binary exits nonzero otherwise (CI runs it as a smoke test). Results
-/// land on stdout and in BENCH_balance_mark.json.
+/// The two paths must agree on the final mesh leaf-for-leaf; the binary
+/// exits nonzero otherwise (CI runs it as a smoke test). Results land on
+/// stdout and in BENCH_balance_mark.json.
 
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +28,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
@@ -50,18 +52,28 @@ Forest<R> make_unbalanced(int base_level, int max_depth) {
   return f;
 }
 
+/// Time the library (\p reference false) or the oracle (true).
 template <class R>
-MarkTimes run_path(const Forest<R>& base, int sweeps,
-                   Forest<R>* mesh_out = nullptr) {
+MarkTimes run_path(const Forest<R>& base, int sweeps, bool reference,
+                   Forest<R>* mesh_out) {
   MarkTimes best;
   for (int s = 0; s < sweeps; ++s) {
     Forest<R> f = base;
     WallTimer t;
-    f.balance(BalanceKind::kFull);
+    if (reference) {
+      oracle::balance(f, BalanceKind::kFull);
+    } else {
+      f.balance(BalanceKind::kFull);
+    }
     const double balance_s = t.elapsed_s();
 
     t.reset();
-    f.balance(BalanceKind::kFull);  // already balanced: pure mark sweep
+    // Already balanced: one pure mark sweep.
+    if (reference) {
+      (void)oracle::mark_sweep(f, BalanceKind::kFull);
+    } else {
+      f.balance(BalanceKind::kFull);
+    }
     const double mark_only_s = t.elapsed_s();
 
     if (s == 0 || balance_s < best.balance_s) {
@@ -78,31 +90,6 @@ MarkTimes run_path(const Forest<R>& base, int sweeps,
   return best;
 }
 
-/// Leaf-for-leaf mesh equality between the two dispatch paths.
-template <class R>
-bool same_mesh(const Forest<R>& a, const Forest<R>& b) {
-  if (a.num_quadrants() != b.num_quadrants()) {
-    return false;
-  }
-  for (tree_id_t t = 0; t < a.num_trees(); ++t) {
-    const auto& ta = a.tree_quadrants(t);
-    const auto& tb = b.tree_quadrants(t);
-    if (ta.size() != tb.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      if (!R::equal(ta[i], tb[i])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-double pct(double scalar_s, double batched_s) {
-  return batched_s > 0 ? (scalar_s / batched_s - 1.0) * 100.0 : 0.0;
-}
-
 template <class R>
 void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
                int sweeps) {
@@ -110,15 +97,16 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
 
   Forest<R> scalar_mesh = base;
   batch::set_enabled(false);
-  const MarkTimes scalar = run_path(base, sweeps, &scalar_mesh);
+  const MarkTimes scalar = run_path(base, sweeps, true, &scalar_mesh);
   Forest<R> batched_mesh = base;
   batch::set_enabled(true);
-  const MarkTimes batched = run_path(base, sweeps, &batched_mesh);
+  const MarkTimes batched = run_path(base, sweeps, false, &batched_mesh);
 
   if (!same_mesh(scalar_mesh, batched_mesh)) {
     std::fprintf(stderr,
-                 "FAIL: %s balanced mesh diverges between the scalar and "
-                 "the batched mark phase (%lld vs %lld leaves)\n",
+                 "FAIL: %s balanced mesh diverges between the scalar "
+                 "reference and the batched mark phase (%lld vs %lld "
+                 "leaves)\n",
                  R::name, static_cast<long long>(scalar.leaves),
                  static_cast<long long>(batched.leaves));
     std::exit(1);
@@ -182,8 +170,9 @@ int main() {
   bench_rep<AvxRep<3>>(table, json, base_level, max_depth, sweeps);
   bench_rep<WideMortonRep<3>>(table, json, base_level, max_depth, sweeps);
   table.print();
-  std::printf("\n(both mark phases must produce the identical balanced "
-              "mesh; mark-only rows time one complete no-op mark sweep.)\n");
+  std::printf("\n(the scalar reference and the batched mark phase must "
+              "produce the identical balanced mesh; mark-only rows time one "
+              "complete no-op mark sweep.)\n");
 
   json.write("BENCH_balance_mark.json");
   return 0;

@@ -2,10 +2,12 @@
 /// \brief forest_batched vs forest_scalar: the payoff of routing the
 /// forest's hot loops (refine waves, coarsen family sweeps, balance
 /// splitting) through the BatchOps<R> dispatch seam instead of scalar
-/// per-quadrant ops. Both runs execute the *same* staged code path — only
-/// the kernel bodies differ (batch::set_enabled toggles the SIMD gate), so
-/// the delta isolates the 256-bit kernels, exactly the ablation the paper
-/// asks of high-level consumers of vectorized primitives.
+/// per-quadrant ops. For refine and coarsen both runs execute the *same*
+/// staged code path — only the kernel bodies differ (batch::set_enabled
+/// toggles the SIMD gate), so the delta isolates the 256-bit kernels,
+/// exactly the ablation the paper asks of high-level consumers of
+/// vectorized primitives. The scalar balance phase is the per-quadrant
+/// reference oracle::balance (tests/forest_oracle.hpp).
 ///
 /// Results land on stdout as a table and in BENCH_forest.json.
 
@@ -19,6 +21,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "obs/metrics.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/table.hpp"
@@ -36,8 +39,10 @@ struct PhaseTimes {
   gidx_t leaves_coarsened = 0;  ///< after the final coarsen pass
 };
 
+/// Balance with the library (\p reference false) or the oracle (true).
 template <class R>
-PhaseTimes run_workflow(int base_level, int max_depth, int sweeps) {
+PhaseTimes run_workflow(int base_level, int max_depth, int sweeps,
+                        bool reference) {
   PhaseTimes best;
   for (int s = 0; s < sweeps; ++s) {
     auto f = Forest<R>::new_uniform(Connectivity::unit(3), base_level);
@@ -48,7 +53,11 @@ PhaseTimes run_workflow(int base_level, int max_depth, int sweeps) {
     const double refine_s = t.elapsed_s();
 
     t.reset();
-    f.balance(BalanceKind::kFull);
+    if (reference) {
+      oracle::balance(f, BalanceKind::kFull);
+    } else {
+      f.balance(BalanceKind::kFull);
+    }
     const double balance_s = t.elapsed_s();
     const gidx_t leaves = f.num_quadrants();
 
@@ -73,17 +82,15 @@ PhaseTimes run_workflow(int base_level, int max_depth, int sweeps) {
   return best;
 }
 
-double pct(double scalar_s, double batched_s) {
-  return batched_s > 0 ? (scalar_s / batched_s - 1.0) * 100.0 : 0.0;
-}
-
 template <class R>
 void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
                int sweeps) {
   batch::set_enabled(false);
-  const PhaseTimes scalar = run_workflow<R>(base_level, max_depth, sweeps);
+  const PhaseTimes scalar =
+      run_workflow<R>(base_level, max_depth, sweeps, true);
   batch::set_enabled(true);
-  const PhaseTimes batched = run_workflow<R>(base_level, max_depth, sweeps);
+  const PhaseTimes batched =
+      run_workflow<R>(base_level, max_depth, sweeps, false);
 
   // CI runs this binary as the dispatch smoke test: the two paths must
   // produce the same mesh, not just claim to — both after refine+balance
@@ -177,7 +184,7 @@ int main() {
   obs::reset_metrics();
   obs::set_metrics(true);
   batch::set_enabled(true);
-  run_workflow<MortonRep<3>>(base_level, max_depth, 1);
+  run_workflow<MortonRep<3>>(base_level, max_depth, 1, false);
   obs::set_metrics(false);
   json.begin_record();
   json.field("bench", "forest_batch");

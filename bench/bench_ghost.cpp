@@ -1,8 +1,8 @@
 /// \file bench_ghost.cpp
 /// \brief Read-path ablation: the batched consumer paths (ghost_layer,
-/// iterate_faces, search_points) against their scalar per-quadrant
-/// reference paths, selected by the batch kill switch exactly like the
-/// balance mark ablation.
+/// iterate_faces, search_points) against the scalar per-quadrant
+/// references of tests/forest_oracle.hpp, run over the generic kernels
+/// like the balance mark ablation.
 ///
 /// Workload: the shared sphere-band mesh (workload.hpp) on a 2x2x1 brick,
 /// refined and 2:1-balanced, partitioned across 8 simulated ranks —
@@ -11,9 +11,9 @@
 ///                    exchange set build);
 ///   - iterate_faces: one full face sweep with a counting callback;
 ///   - search_points: one batched point location of ~num_leaves random
-///                    canonical points (scalar path: per-point search).
+///                    canonical points (reference: per-point search).
 ///
-/// The two dispatch paths must agree exactly — ghost sets per rank,
+/// The two paths must agree exactly — ghost sets per rank,
 /// face-emission fingerprint, and per-point results; the binary exits
 /// nonzero otherwise (CI runs it as a smoke test). With SIMD active and
 /// the default mesh size, the batched ghost path must beat the scalar
@@ -32,6 +32,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/random.hpp"
 #include "util/table.hpp"
@@ -94,15 +95,20 @@ inline std::uint64_t mix(std::uint64_t x) {
   return x;
 }
 
+/// Time the library (\p reference false) or the oracle (true).
 template <class R>
 ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
-                   int sweeps, ReadResults* out) {
+                   int sweeps, bool reference, ReadResults* out) {
   ReadTimes best;
   for (int s = 0; s < sweeps; ++s) {
     ReadResults res;
     WallTimer t;
     res.ghost.reserve(static_cast<std::size_t>(f.num_ranks()));
     for (int r = 0; r < f.num_ranks(); ++r) {
+      if (reference) {
+        res.ghost.push_back(oracle::ghost_set(f, r));
+        continue;
+      }
       const auto layer = f.ghost_layer(r);
       std::vector<gidx_t> g;
       g.reserve(layer.entries.size());
@@ -116,7 +122,7 @@ ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
     t.reset();
     std::atomic<std::uint64_t> fingerprint{0};
     std::atomic<gidx_t> faces{0};
-    f.iterate_faces([&](const FaceInfo<R>& info) {
+    const auto on_face = [&](const FaceInfo<R>& info) {
       // Order-independent: the callback runs concurrently on the
       // batched path, and addition commutes.
       const std::uint64_t a =
@@ -132,13 +138,19 @@ ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
           mix(a + (info.is_hanging ? 0x9e3779b97f4a7c15ULL : 0));
       fingerprint.fetch_add(h, std::memory_order_relaxed);
       faces.fetch_add(1, std::memory_order_relaxed);
-    });
+    };
+    if (reference) {
+      oracle::iterate_faces(f, on_face);
+    } else {
+      f.iterate_faces(on_face);
+    }
     const double iterate_s = t.elapsed_s();
     res.face_fingerprint = fingerprint.load();
     res.faces = faces.load();
 
     t.reset();
-    res.points = f.search_points(pts);
+    res.points =
+        reference ? oracle::search_points(f, pts) : f.search_points(pts);
     const double search_s = t.elapsed_s();
 
     if (s == 0 || ghost_s < best.ghost_s) {
@@ -157,10 +169,6 @@ ReadTimes run_path(const Forest<R>& f, const std::vector<PointQuery>& pts,
   return best;
 }
 
-double pct(double scalar_s, double batched_s) {
-  return batched_s > 0 ? (scalar_s / batched_s - 1.0) * 100.0 : 0.0;
-}
-
 template <class R>
 void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
                int sweeps, bool enforce) {
@@ -170,15 +178,15 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
 
   batch::set_enabled(false);
   ReadResults scalar_res;
-  const ReadTimes scalar = run_path(f, pts, sweeps, &scalar_res);
+  const ReadTimes scalar = run_path(f, pts, sweeps, true, &scalar_res);
   batch::set_enabled(true);
   ReadResults batched_res;
-  const ReadTimes batched = run_path(f, pts, sweeps, &batched_res);
+  const ReadTimes batched = run_path(f, pts, sweeps, false, &batched_res);
 
   if (scalar_res.ghost != batched_res.ghost) {
     std::fprintf(stderr,
-                 "FAIL: %s ghost sets diverge between the scalar and the "
-                 "batched path\n",
+                 "FAIL: %s ghost sets diverge between the scalar reference "
+                 "and the batched path\n",
                  R::name);
     std::exit(1);
   }
@@ -192,8 +200,8 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
   }
   if (scalar_res.points != batched_res.points) {
     std::fprintf(stderr,
-                 "FAIL: %s search_points diverges between the scalar and "
-                 "the batched path\n",
+                 "FAIL: %s search_points diverges between the scalar "
+                 "reference and the batched path\n",
                  R::name);
     std::exit(1);
   }
@@ -228,7 +236,7 @@ void bench_rep(Table& table, BenchJson& json, int base_level, int max_depth,
   }
 
   // Acceptance gate: with SIMD kernels active and a production-size mesh
-  // the batched ghost build must beat the scalar path by >= 1.5x.
+  // the batched ghost build must beat the scalar reference by >= 1.5x.
   if (enforce && BatchOps<R>::simd_active() && leaves >= kEnforceMinLeaves &&
       scalar.ghost_s < kEnforceMinBoost * batched.ghost_s) {
     std::fprintf(stderr,

@@ -102,26 +102,6 @@ SchedTimes run_workflow(bool single, int base_level, int max_depth,
   return best;
 }
 
-bool same_mesh(const Forest<R>& a, const Forest<R>& b) {
-  if (a.num_quadrants() != b.num_quadrants() ||
-      a.num_trees() != b.num_trees()) {
-    return false;
-  }
-  for (tree_id_t t = 0; t < a.num_trees(); ++t) {
-    const auto& ta = a.tree_quadrants(t);
-    const auto& tb = b.tree_quadrants(t);
-    if (ta.size() != tb.size()) {
-      return false;
-    }
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      if (!R::equal(ta[i], tb[i])) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 double speedup(double base_s, double new_s) {
   return new_s > 0 ? base_s / new_s : 0.0;
 }

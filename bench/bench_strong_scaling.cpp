@@ -44,7 +44,7 @@
 #include "forest/io.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "par/strong_scaling.hpp"
+#include "strong_scaling.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 #include "workload.hpp"

@@ -22,7 +22,7 @@
 #include "core/quadrant_avx.hpp"
 #include "core/quadrant_morton.hpp"
 #include "core/quadrant_std.hpp"
-#include "par/strong_scaling.hpp"
+#include "strong_scaling.hpp"
 #include "simd/feature_detect.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

@@ -1,4 +1,4 @@
-#include "par/strong_scaling.hpp"
+#include "strong_scaling.hpp"
 
 namespace qforest::par {
 

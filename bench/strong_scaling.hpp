@@ -1,6 +1,7 @@
 #pragma once
 /// \file strong_scaling.hpp
-/// \brief Simulated MPI strong-scaling driver for the figure benchmarks.
+/// \brief Simulated MPI strong-scaling driver for the figure benchmarks
+/// (bench-only code; test_par checks its semantics).
 ///
 /// The paper's Figures 2-7 plot kernel runtime against 2..512 MPI tasks.
 /// The kernels are embarrassingly parallel per-quadrant loops with no

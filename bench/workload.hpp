@@ -15,6 +15,7 @@
 #include "core/batch_ops.hpp"
 #include "core/canonical.hpp"
 #include "core/types.hpp"
+#include "forest/connectivity.hpp"
 #include "util/random.hpp"
 
 namespace qforest::bench {
@@ -110,6 +111,28 @@ bool near_sphere(const typename R::quad_t& q) {
   const double dx = cx - 0.5, dy = cy - 0.5, dz = cz - 0.5;
   const double r = std::sqrt(dx * dx + dy * dy + dz * dz);
   return std::abs(r - 0.35) < h;
+}
+
+/// Speedup of \p batched_s over \p scalar_s in percent (the gated
+/// boost_percent of the BENCH_*.json ablation records).
+inline double pct(double scalar_s, double batched_s) {
+  return batched_s > 0 ? (scalar_s / batched_s - 1.0) * 100.0 : 0.0;
+}
+
+/// Leaf-for-leaf equality of two forests (the ablations' mesh check).
+template <class F>
+bool same_mesh(const F& a, const F& b) {
+  if (a.num_trees() != b.num_trees()) {
+    return false;
+  }
+  for (tree_id_t t = 0; t < a.num_trees(); ++t) {
+    if (!std::equal(a.tree_quadrants(t).begin(), a.tree_quadrants(t).end(),
+                    b.tree_quadrants(t).begin(), b.tree_quadrants(t).end(),
+                    F::rep::equal)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace qforest::bench

@@ -27,8 +27,11 @@
 /// the comparator inputs likewise, including the off-by-one overlap of
 /// adjacent-pair sweeps (each element is read before any store).
 ///
-/// The runtime kill switch (QFOREST_NO_BATCH / batch::set_enabled) exists
-/// so benches can measure batched against scalar dispatch in one binary.
+/// The runtime kill switch (QFOREST_NO_BATCH / batch::set_enabled) selects
+/// the generic kernel bodies instead of the SIMD ones — the path a non-AVX
+/// host takes — so one binary can measure and test both. It selects
+/// kernels only: the forest algorithms above the seam are the same either
+/// way.
 
 #include <atomic>
 #include <cstddef>
@@ -48,7 +51,8 @@ namespace batch {
 
 /// Process-wide batch-kernel switch: defaults to on, disabled by setting
 /// the environment variable QFOREST_NO_BATCH or calling set_enabled(false).
-/// Affects only which kernel body runs — results are bit-identical.
+/// Affects only which kernel body runs (BatchOps<R>::simd_active is its
+/// one reader) — results are bit-identical.
 /// Atomic with relaxed ordering: the flag may be toggled while a parallel
 /// region is running (benches flip it between timed phases) and workers
 /// only need *a* consistent value per load, not a synchronized view.

@@ -87,6 +87,23 @@ typename R::quad_t from_canonical(const CanonicalQuadrant& c) {
   }
 }
 
+/// Whether two canonical domains of a \p dim-dimensional mesh touch
+/// (share at least a point); the caller is responsible for expressing
+/// both in the same frame.
+template <int dim>
+bool canonical_touch(const CanonicalQuadrant& a, const CanonicalQuadrant& b) {
+  const std::int64_t ha = std::int64_t{1} << (kCanonicalLevel - a.level);
+  const std::int64_t hb = std::int64_t{1} << (kCanonicalLevel - b.level);
+  const std::int64_t pa[3] = {a.x, a.y, a.z};
+  const std::int64_t pb[3] = {b.x, b.y, b.z};
+  for (int i = 0; i < dim; ++i) {
+    if (pa[i] + ha < pb[i] || pb[i] + hb < pa[i]) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Re-encode a quadrant from representation \p From to representation
 /// \p To. Precondition: level(q) <= To::max_level.
 template <class From, class To>

@@ -21,7 +21,11 @@
 /// leaves are staged into level-uniform spans and dispatched through
 /// BatchOps<R> (core/batch_ops.hpp), so representations with SIMD batch
 /// kernels consume them register-parallel while every other representation
-/// takes the generic scalar loop.
+/// takes the generic scalar loop. Each operation has exactly one
+/// algorithm: QFOREST_NO_BATCH / batch::set_enabled(false) only swaps the
+/// SIMD kernels for the generic ones underneath it. The scalar
+/// per-quadrant references the batched paths are tested and benchmarked
+/// against live in tests/forest_oracle.hpp.
 ///
 /// Scheduling is two-level: the per-tree outer loops of the adaptation
 /// algorithms run on the shared forest thread pool (level 1), and within
@@ -491,10 +495,8 @@ class Forest {
   /// bitmap marks use relaxed atomic stores, everything else stays chunk-
   /// or tree-local). MarkGrids persist across fixpoint iterations and are
   /// rebuilt only for trees whose leaves changed in the previous apply.
-  /// The scalar per-quadrant reference path is kept behind the batch kill
-  /// switch (QFOREST_NO_BATCH / batch::set_enabled(false)) so one binary
-  /// can measure and cross-check both, exactly like the kernel dispatch
-  /// (see bench_balance_mark).
+  /// The scalar per-quadrant reference (one neighbor_at_offset + binary
+  /// search per (leaf, offset) pair) lives in tests/forest_oracle.hpp.
   ///
   /// An already-balanced forest is a no-op: no split, no leaf-array
   /// rebuild, no repartition.
@@ -518,11 +520,7 @@ class Forest {
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           split[t].assign(trees_[t].size(), 0);
         }
-        if (batch::enabled()) {
-          mark_splits_batched(kind, split, grids, grid_valid);
-        } else {
-          mark_splits_scalar(kind, split);
-        }
+        mark_splits(kind, split, grids, grid_valid);
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           if (std::find(split[t].begin(), split[t].end(), 1) !=
@@ -640,18 +638,15 @@ class Forest {
 
   /// Remote leaves adjacent (faces, edges and corners) to \p rank's own.
   ///
-  /// Batched (the default): the rank's leaf subrange of each involved
-  /// tree is staged into level-uniform spans per leaf chunk, every
-  /// neighbor key is produced in bulk through
-  /// BatchOps<R>::neighbor_at_offset_n, keys staying in their source tree
-  /// resolve against a per-tree Morton-cell grid (MarkGrid) and keys
-  /// crossing a tree face are bucketed per target tree and resolved with
-  /// one sort + sorted-merge sweep — the read-side twin of the balance
-  /// mark phase. Trees and leaf chunks run in parallel on the forest
-  /// pool. The pre-batching scalar path (one neighbor_at_offset + binary
-  /// search per (leaf, offset) pair) is kept behind the batch kill switch
-  /// (QFOREST_NO_BATCH / batch::set_enabled(false)) as the parity
-  /// reference; both produce the identical ghost set.
+  /// The rank's leaf subrange of each involved tree is staged into
+  /// level-uniform spans per leaf chunk, every neighbor key is produced in bulk
+  /// through BatchOps<R>::neighbor_at_offset_n, keys staying in their source
+  /// tree resolve against a per-tree Morton-cell grid (MarkGrid) and keys
+  /// crossing a tree face are bucketed per target tree and resolved with one
+  /// sort + sorted-merge sweep — the read-side twin of the balance mark phase.
+  /// Trees and leaf chunks run in parallel on the forest pool. The parity
+  /// reference (one neighbor_at_offset + binary search per (leaf, offset) pair)
+  /// is oracle::ghost_set in tests/forest_oracle.hpp.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
     GhostLayer<R> ghost;
     const auto [first, last] = rank_range(rank);
@@ -736,16 +731,15 @@ class Forest {
   /// see point_query.hpp for the shared-boundary convention). Throws
   /// std::invalid_argument when a query lies outside its tree's domain.
   ///
-  /// Batched (the default): queries are grouped per tree, each group is
-  /// sorted in curve order and resolved with one chunked sorted-merge
-  /// sweep over the tree's leaf array — the last-leaf-<=-key cursor
-  /// advances monotonically with the keys, the same trick that resolves
-  /// the cross-tree balance keys — so resolving m points costs one sort
-  /// plus one sweep instead of m whole-tree binary searches. Trees and
-  /// key chunks run in parallel on the forest pool. The per-point scalar
-  /// path (one upper_bound per query) is kept behind the batch kill
-  /// switch (QFOREST_NO_BATCH) as the parity reference. The pruning
-  /// traversal search() remains the API for callback-driven descents.
+  /// Queries are grouped per tree, each group is sorted in curve order and
+  /// resolved with one chunked sorted-merge sweep over the tree's leaf array —
+  /// the last-leaf-<=-key cursor advances monotonically with the keys, the same
+  /// trick that resolves the cross-tree balance keys — so resolving m points
+  /// costs one sort plus one sweep instead of m whole-tree binary searches.
+  /// Trees and key chunks run in parallel on the forest pool. The per-point
+  /// reference (one upper_bound per query) is oracle::search_points in
+  /// tests/forest_oracle.hpp. The pruning traversal search() remains the API
+  /// for callback-driven descents.
   [[nodiscard]] std::vector<gidx_t> search_points(
       const std::vector<PointQuery>& queries) const {
     obs::TraceSpan span("forest", "search_points");
@@ -762,12 +756,6 @@ class Forest {
       }
     }
     std::vector<gidx_t> out(queries.size(), -1);
-    if (!batch::enabled()) {
-      for (std::size_t qi = 0; qi < queries.size(); ++qi) {
-        out[qi] = search_point_scalar(queries[qi]);
-      }
-      return out;
-    }
     // Counting sort groups the query indices per tree without touching
     // the input order (results land at each query's original slot).
     const std::size_t nt = trees_.size();
@@ -801,30 +789,28 @@ class Forest {
                 [](const auto& x, const auto& y) {
                   return R::less(x.first, y.first);
                 });
-      const auto& tree = trees_[ti];
-      const auto n = static_cast<std::ptrdiff_t>(tree.size());
-      parallel_chunks(pts.size(), chunk_grain(),
-                      [&](std::size_t, std::size_t pb, std::size_t pe) {
-        // Last leaf <= the chunk's first key; a complete tree guarantees
-        // one exists (the curve-minimal leaf precedes every in-root key).
-        std::ptrdiff_t j =
-            std::upper_bound(tree.begin(), tree.end(), pts[pb].first,
-                             RepLess<R>{}) -
-            tree.begin() - 1;
-        for (std::size_t k = pb; k < pe; ++k) {
-          while (j + 1 < n &&
-                 !R::less(pts[k].first,
-                          tree[static_cast<std::size_t>(j + 1)])) {
-            ++j;
-          }
-          assert(j >= 0);
-          out[pts[k].second] =
-              global_index(static_cast<tree_id_t>(ti),
-                           static_cast<std::size_t>(j));
-        }
-      });
+      // The containing leaf is the last leaf <= the key; a complete tree
+      // guarantees one (the curve-minimal leaf precedes every in-root key).
+      merge_sweep(ti, pts, chunk_grain(),
+                  [](const auto& p) -> const quad_t& { return p.first; },
+                  [&](std::size_t, std::size_t k, std::ptrdiff_t j) {
+                    assert(j >= 0);
+                    out[pts[k].second] =
+                        global_index(static_cast<tree_id_t>(ti),
+                                     static_cast<std::size_t>(j));
+                  });
     });
     return out;
+  }
+
+  /// Representation key of a query point: the max_level quadrant whose
+  /// half-open box contains the point. Masking the coordinates down to
+  /// max_level alignment keeps from_canonical's grid precondition.
+  [[nodiscard]] static quad_t point_key(const PointQuery& p) {
+    const std::int64_t mask =
+        ~((std::int64_t{1} << (kCanonicalLevel - R::max_level)) - 1);
+    return from_canonical<R>(
+        CanonicalQuadrant{p.x & mask, p.y & mask, p.z & mask, R::max_level});
   }
 
   // ---------------------------------------------------------------- iterate
@@ -834,36 +820,20 @@ class Forest {
   /// paper's future-work item 4): hanging pairs are emitted from the
   /// finer side, equal-size pairs from the globally lower leaf.
   ///
-  /// Batched (the default): the leaf sweep runs per tree AND per leaf
-  /// chunk on the forest pool, with every face-neighbor key of a
-  /// level-uniform span produced in bulk through
+  /// The leaf sweep runs per tree AND per leaf chunk on the forest pool, with
+  /// every face-neighbor key of a level-uniform span produced in bulk through
   /// BatchOps<R>::neighbor_at_offset_n and resolved against the per-tree
-  /// Morton-cell grid; keys crossing a tree face are bucketed per target
-  /// tree and resolved with one sort + sorted-merge sweep. The emission
-  /// set is identical to the scalar path but the ORDER is not, and \p cb
-  /// is invoked concurrently — it must be thread-safe, with the same
-  /// opt-outs as the adaptation callbacks (set_tree_parallelism /
-  /// set_intra_tree_parallelism). The serial per-leaf scalar path is
-  /// kept behind the batch kill switch (QFOREST_NO_BATCH /
-  /// batch::set_enabled(false)) as the deterministic-order parity
-  /// reference.
+  /// Morton-cell grid; keys crossing a tree face are bucketed per target tree
+  /// and resolved with one sort + sorted-merge sweep. The emission ORDER is
+  /// unspecified and \p cb is invoked concurrently — it must be thread-safe,
+  /// with the same opt-outs as the adaptation callbacks (set_tree_parallelism /
+  /// set_intra_tree_parallelism). The serial, deterministic-order reference is
+  /// oracle::iterate_faces in tests/forest_oracle.hpp.
   template <class Fn>
   void iterate_faces(Fn&& cb) const {
     obs::TraceSpan span("forest", "iterate_faces");
     QFOREST_DBG_WRAP_CALLBACK(checked_cb, cb);
-    if (batch::enabled()) {
-      iterate_faces_batched(checked_cb);
-      return;
-    }
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      const auto& tree = trees_[static_cast<std::size_t>(t)];
-      for (std::size_t i = 0; i < tree.size(); ++i) {
-        const quad_t& q = tree[i];
-        for (int f = 0; f < dims::num_faces; ++f) {
-          emit_face(t, i, q, f, checked_cb);
-        }
-      }
-    }
+    sweep_faces(checked_cb);
   }
 
   // ---------------------------------------------------------------- checks
@@ -966,25 +936,11 @@ class Forest {
       tree_id_t t, const quad_t& q, int dx, int dy, int dz) const {
     CanonicalQuadrant c = to_canonical<R>(q);
     const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     std::int64_t pos[3] = {c.x + dx * h, c.y + dy * h, c.z + dz * h};
-    std::array<int, 3> tree_step = {0, 0, 0};
-    for (int a = 0; a < dim; ++a) {
-      if (pos[a] < 0) {
-        tree_step[a] = -1;
-        pos[a] += root;
-      } else if (pos[a] >= root) {
-        tree_step[a] = 1;
-        pos[a] -= root;
-      }
-    }
-    tree_id_t nt = t;
-    if (tree_step[0] != 0 || tree_step[1] != 0 || tree_step[2] != 0) {
-      nt = conn_.tree_offset_neighbor(t, tree_step[0], tree_step[1],
-                                      tree_step[2]);
-      if (nt < 0) {
-        return std::nullopt;
-      }
+    std::array<int, 3> tree_step{};
+    const tree_id_t nt = wrap_to_tree(t, pos, tree_step);
+    if (nt < 0) {
+      return std::nullopt;
     }
     CanonicalQuadrant nc{pos[0], pos[1], pos[2], c.level};
     return NeighborLookup{nt, from_canonical<R>(nc), tree_step};
@@ -1008,6 +964,42 @@ class Forest {
       return idx;
     }
     return std::nullopt;
+  }
+
+  /// Invoke \p fn for every neighbor offset vector of the balance kind.
+  /// \p fn may return void, or bool where false stops the enumeration
+  /// early (the balance checkers bail at the first violation instead of
+  /// probing the remaining offsets). Returns whether the enumeration ran
+  /// to completion.
+  template <class Fn>
+  static bool for_each_neighbor_offset(BalanceKind kind, Fn&& fn) {
+    const int zlo = dim == 3 ? -1 : 0;
+    const int zhi = dim == 3 ? 1 : 0;
+    for (int dz = zlo; dz <= zhi; ++dz) {
+      for (int dy = -1; dy <= 1; ++dy) {
+        for (int dx = -1; dx <= 1; ++dx) {
+          const int nz = (dx != 0) + (dy != 0) + (dz != 0);
+          if (nz == 0) {
+            continue;
+          }
+          if (kind == BalanceKind::kFace && nz > 1) {
+            continue;
+          }
+          if (kind == BalanceKind::kEdge && nz > 2) {
+            continue;
+          }
+          if constexpr (std::is_void_v<std::invoke_result_t<Fn&, int, int,
+                                                            int>>) {
+            fn(dx, dy, dz);
+          } else {
+            if (!fn(dx, dy, dz)) {
+              return false;
+            }
+          }
+        }
+      }
+    }
+    return true;
   }
 
  private:
@@ -1707,81 +1699,135 @@ class Forest {
     }
   }
 
-  /// Invoke \p fn for every neighbor offset vector of the balance kind.
-  /// \p fn may return void, or bool where false stops the enumeration
-  /// early (the balance checkers bail at the first violation instead of
-  /// probing the remaining offsets). Returns whether the enumeration ran
-  /// to completion.
-  template <class Fn>
-  static bool for_each_neighbor_offset(BalanceKind kind, Fn&& fn) {
-    const int zlo = dim == 3 ? -1 : 0;
-    const int zhi = dim == 3 ? 1 : 0;
-    for (int dz = zlo; dz <= zhi; ++dz) {
-      for (int dy = -1; dy <= 1; ++dy) {
-        for (int dx = -1; dx <= 1; ++dx) {
-          const int nz = (dx != 0) + (dy != 0) + (dz != 0);
-          if (nz == 0) {
-            continue;
-          }
-          if (kind == BalanceKind::kFace && nz > 1) {
-            continue;
-          }
-          if (kind == BalanceKind::kEdge && nz > 2) {
-            continue;
-          }
-          if constexpr (std::is_void_v<std::invoke_result_t<Fn&, int, int,
-                                                            int>>) {
-            fn(dx, dy, dz);
-          } else {
-            if (!fn(dx, dy, dz)) {
-              return false;
-            }
-          }
+  // ------------------------------------------- shared bulk-lookup helpers
+
+  /// Wrap a position displaced from tree \p t back onto the tree grid:
+  /// rewrites \p pos into the target tree's frame, records the tree-grid
+  /// steps in \p step and returns the target (\p t itself when the
+  /// position stays inside; -1 beyond a physical boundary). A periodic
+  /// wrap can lead back to \p t with a nonzero step.
+  tree_id_t wrap_to_tree(tree_id_t t, std::int64_t (&pos)[3],
+                         std::array<int, 3>& step) const {
+    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
+    step = {0, 0, 0};
+    for (int a = 0; a < dim; ++a) {
+      if (pos[a] < 0) {
+        step[a] = -1;
+        pos[a] += root;
+      } else if (pos[a] >= root) {
+        step[a] = 1;
+        pos[a] -= root;
+      }
+    }
+    if (step[0] == 0 && step[1] == 0 && step[2] == 0) {
+      return t;
+    }
+    return conn_.tree_offset_neighbor(t, step[0], step[1], step[2]);
+  }
+
+  /// Keys one source (a tree, or a leaf chunk of one) emits into one
+  /// target tree, already re-encoded in the target tree's frame.
+  template <class Key>
+  struct Bucket {
+    tree_id_t tree;
+    std::vector<Key> keys;
+  };
+
+  /// The key list for \p target in \p buckets, created on first use.
+  /// Linear scan: a tree has at most 3^dim - 1 distinct targets.
+  template <class Key>
+  static std::vector<Key>& bucket_for(std::vector<Bucket<Key>>& buckets,
+                                      tree_id_t target) {
+    for (Bucket<Key>& b : buckets) {
+      if (b.tree == target) {
+        return b.keys;
+      }
+    }
+    buckets.push_back(Bucket<Key>{target, {}});
+    return buckets.back().keys;
+  }
+
+  /// Fold the per-chunk bucket lists of one source tree into \p out, one
+  /// bucket per target.
+  template <class Key>
+  static void merge_buckets(std::vector<std::vector<Bucket<Key>>>& chunks,
+                            std::vector<Bucket<Key>>& out) {
+    for (auto& chunk : chunks) {
+      for (Bucket<Key>& b : chunk) {
+        auto& keys = bucket_for(out, b.tree);
+        if (keys.empty()) {
+          keys = std::move(b.keys);
+        } else {
+          keys.insert(keys.end(), b.keys.begin(), b.keys.end());
         }
       }
     }
-    return true;
+  }
+
+  /// Hand every target tree's incoming keys — all sources' buckets for
+  /// it, concatenated and sorted by curve order of \p key_of(key) — to
+  /// \p fn(target, keys), target-parallel. One serial pass groups the
+  /// bucket pointers per target first, so the workers don't each scan
+  /// every source (quadratic in num_trees on large bricks).
+  template <class Key, class KeyOf, class Fn>
+  void for_each_target(const std::vector<std::vector<Bucket<Key>>>& sources,
+                       KeyOf key_of, Fn&& fn) const {
+    std::vector<std::vector<const std::vector<Key>*>> incoming(
+        trees_.size());
+    for (const auto& buckets : sources) {
+      for (const Bucket<Key>& b : buckets) {
+        incoming[static_cast<std::size_t>(b.tree)].push_back(&b.keys);
+      }
+    }
+    parallel_over(trees_.size(), [&](std::size_t ti) {
+      std::size_t total = 0;
+      for (const auto* part : incoming[ti]) {
+        total += part->size();
+      }
+      if (total == 0) {
+        return;
+      }
+      std::vector<Key> keys;
+      keys.reserve(total);
+      for (const auto* part : incoming[ti]) {
+        keys.insert(keys.end(), part->begin(), part->end());
+      }
+      std::sort(keys.begin(), keys.end(), [&](const Key& x, const Key& y) {
+        return R::less(key_of(x), key_of(y));
+      });
+      fn(ti, keys);
+    });
+  }
+
+  /// Chunked sorted-merge sweep of the curve-sorted \p keys over tree
+  /// \p ti's leaves, the replacement of one whole-tree binary search per
+  /// key: calls fn(chunk, kk, j) with j the index of the last leaf <=
+  /// key_of(keys[kk]) (-1: none) — the only possible enclosure, exactly
+  /// what upper_bound - 1 yields. Keys and leaves are both sorted by
+  /// R::less, so j advances monotonically; each chunk of \p grain keys
+  /// seeds its cursor with one binary search on its first key.
+  template <class Key, class KeyOf, class Fn>
+  void merge_sweep(std::size_t ti, const std::vector<Key>& keys,
+                   std::size_t grain, KeyOf key_of, Fn&& fn) const {
+    const auto& tree = trees_[ti];
+    const auto n = static_cast<std::ptrdiff_t>(tree.size());
+    parallel_chunks(keys.size(), grain,
+                    [&](std::size_t c, std::size_t b, std::size_t e) {
+      std::ptrdiff_t j =
+          std::upper_bound(tree.begin(), tree.end(), key_of(keys[b]),
+                           RepLess<R>{}) -
+          tree.begin() - 1;
+      for (std::size_t kk = b; kk < e; ++kk) {
+        while (j + 1 < n && !R::less(key_of(keys[kk]),
+                                     tree[static_cast<std::size_t>(j + 1)])) {
+          ++j;
+        }
+        fn(c, kk, j);
+      }
+    });
   }
 
   // ------------------------------------------------- balance mark phase
-
-  /// Scalar reference mark phase: one neighbor_at_offset + binary search
-  /// per (leaf, offset) pair — the pre-batching code path, kept
-  /// selectable via the batch kill switch (QFOREST_NO_BATCH) so tests and
-  /// benches can cross-check and measure the batched phase against it.
-  void mark_splits_scalar(
-      BalanceKind kind, std::vector<std::vector<std::uint8_t>>& split) const {
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      const auto& tree = trees_[static_cast<std::size_t>(t)];
-      for (const quad_t& q : tree) {
-        const int lvl = R::level(q);
-        if (lvl < 2) {
-          continue;  // neighbors can never be two levels coarser
-        }
-        for_each_neighbor_offset(kind, [&](int dx, int dy, int dz) {
-          const auto nb = neighbor_at_offset(t, q, dx, dy, dz);
-          if (!nb.has_value()) {
-            return;  // physical boundary
-          }
-          const auto enclosing = find_enclosing_leaf(nb->tree, nb->quad);
-          if (enclosing.has_value()) {
-            const quad_t& leaf =
-                trees_[static_cast<std::size_t>(nb->tree)][*enclosing];
-            if (R::level(leaf) < lvl - 1) {
-              split[static_cast<std::size_t>(nb->tree)][*enclosing] = 1;
-            }
-          }
-        });
-      }
-    }
-  }
-
-  /// Candidate neighbor keys one source tree emits into one target tree,
-  /// already re-encoded in the target tree's coordinate frame.
-  struct MarkBucket {
-    tree_id_t tree;
-    std::vector<quad_t> quads;
-  };
 
   /// Coarse Morton-cell index over one tree's leaf array: cell c of the
   /// uniform level-`level` grid maps to the contiguous leaf index range
@@ -1811,7 +1857,7 @@ class Forest {
   ///   3. resolve remote: each target tree sorts its incoming bucket and
   ///      resolves it with a sorted-merge sweep, itself cut into key
   ///      chunks that each start from one binary search.
-  void mark_splits_batched(BalanceKind kind,
+  void mark_splits(BalanceKind kind,
                            std::vector<std::vector<std::uint8_t>>& split,
                            std::vector<MarkGrid>& grids,
                            std::vector<std::uint8_t>& grid_valid) const {
@@ -1822,31 +1868,16 @@ class Forest {
         grid_valid[ti] = 1;
       }
     });
-    std::vector<std::vector<MarkBucket>> cand(nt);
+    std::vector<std::vector<Bucket<quad_t>>> cand(nt);
     parallel_over(nt, [&](std::size_t ti) {
       produce_and_mark_local(static_cast<tree_id_t>(ti), kind, grids[ti],
                              split[ti], cand[ti]);
     });
-    // One serial pass groups bucket pointers per target, so the
-    // per-target workers below don't each scan every source tree
-    // (quadratic in num_trees on large bricks).
-    std::vector<std::vector<const std::vector<quad_t>*>> incoming(nt);
-    for (const auto& per_source : cand) {
-      for (const MarkBucket& b : per_source) {
-        incoming[static_cast<std::size_t>(b.tree)].push_back(&b.quads);
-      }
-    }
-    parallel_over(nt, [&](std::size_t ti) {
-      std::vector<quad_t> keys;
-      for (const auto* quads : incoming[ti]) {
-        keys.insert(keys.end(), quads->begin(), quads->end());
-      }
-      if (keys.empty()) {
-        return;
-      }
-      std::sort(keys.begin(), keys.end(), RepLess<R>{});
-      mark_enclosing_merge(ti, keys, split[ti]);
-    });
+    for_each_target(
+        cand, [](const quad_t& q) -> const quad_t& { return q; },
+        [&](std::size_t ti, const std::vector<quad_t>& keys) {
+          mark_enclosing_merge(ti, keys, split[ti]);
+        });
   }
 
   /// Build tree \p ti's MarkGrid. The grid level is chosen so cells hold
@@ -1938,26 +1969,15 @@ class Forest {
   void produce_and_mark_local(tree_id_t t, BalanceKind kind,
                               const MarkGrid& grid,
                               std::vector<std::uint8_t>& split,
-                              std::vector<MarkBucket>& out) const {
+                              std::vector<Bucket<quad_t>>& out) const {
     const auto ti = static_cast<std::size_t>(t);
     const auto& tree = trees_[ti];
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     const std::size_t grain = chunk_grain();
-    std::vector<std::vector<MarkBucket>> chunk_out(
+    std::vector<std::vector<Bucket<quad_t>>> chunk_out(
         batch::chunk_count(tree.size(), grain));
     parallel_chunks(tree.size(), grain,
                     [&](std::size_t c, std::size_t cb, std::size_t ce) {
       auto& mine = chunk_out[c];
-      auto bucket_for = [&](tree_id_t target) -> std::vector<quad_t>& {
-        // Linear scan: a tree has at most 3^dim - 1 distinct targets.
-        for (MarkBucket& b : mine) {
-          if (b.tree == target) {
-            return b.quads;
-          }
-        }
-        mine.push_back(MarkBucket{target, {}});
-        return mine.back().quads;
-      };
       SpanStage<R> staged;
       for (std::size_t i = cb; i < ce; ++i) {
         if (R::level(tree[i]) >= 2) {
@@ -1980,47 +2000,23 @@ class Forest {
                                             static_cast<int>(l));
           for (std::size_t i = 0; i < span.size(); ++i) {
             std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-            std::array<int, 3> step = {0, 0, 0};
-            for (int a = 0; a < dim; ++a) {
-              if (pos[a] < 0) {
-                step[a] = -1;
-                pos[a] += root;
-              } else if (pos[a] >= root) {
-                step[a] = 1;
-                pos[a] -= root;
-              }
-            }
-            tree_id_t target = t;
-            if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-              target =
-                  conn_.tree_offset_neighbor(t, step[0], step[1], step[2]);
-              if (target < 0) {
-                continue;  // physical boundary
-              }
+            std::array<int, 3> step{};
+            const tree_id_t target = wrap_to_tree(t, pos, step);
+            if (target < 0) {
+              continue;  // physical boundary
             }
             const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
                                        static_cast<int>(l)};
             if (target == t) {
               resolve_mark(ti, grid, nc, split);
             } else {
-              bucket_for(target).push_back(from_canonical<R>(nc));
+              bucket_for(mine, target).push_back(from_canonical<R>(nc));
             }
           }
         });
       }
     });
-    for (auto& mine : chunk_out) {
-      for (MarkBucket& b : mine) {
-        auto it = std::find_if(out.begin(), out.end(), [&](const MarkBucket& o) {
-          return o.tree == b.tree;
-        });
-        if (it == out.end()) {
-          out.push_back(std::move(b));
-        } else {
-          it->quads.insert(it->quads.end(), b.quads.begin(), b.quads.end());
-        }
-      }
-    }
+    merge_buckets(chunk_out, out);
   }
 
   /// Grid-accelerated find_enclosing_leaf for a canonical key inside
@@ -2077,84 +2073,32 @@ class Forest {
     }
   }
 
-  /// Phase 3 worker: the sorted-merge replacement of per-candidate
-  /// find_enclosing_leaf. Keys and the leaf array are both sorted by
-  /// R::less ("ancestors before descendants" curve order), so the index
-  /// of the last leaf <= key — the only possible enclosure, exactly what
-  /// upper_bound - 1 yields — advances monotonically and one sweep
-  /// resolves every key. The sweep is cut into key chunks; each chunk
-  /// seeds its cursor with one binary search on its first key and then
-  /// advances monotonically, marking via relaxed atomic stores (adjacent
-  /// chunks can resolve to the same leaf). The enclosing leaf is marked
-  /// when it is two or more levels coarser than the key (a 2:1
-  /// violation); keys whose region is covered by finer leaves have no
-  /// enclosure and mark nothing.
+  /// Phase 3 worker: resolve one target tree's curve-sorted cross-tree
+  /// keys with a merge_sweep instead of one find_enclosing_leaf each. The
+  /// enclosing leaf is marked when it is two or more levels coarser than
+  /// the key (a 2:1 violation), via relaxed atomic stores (adjacent key
+  /// chunks can resolve to the same leaf); keys whose region is covered
+  /// by finer leaves have no enclosure and mark nothing.
   void mark_enclosing_merge(std::size_t ti, const std::vector<quad_t>& keys,
                             std::vector<std::uint8_t>& split) const {
     const auto& tree = trees_[ti];
-    const auto n = static_cast<std::ptrdiff_t>(tree.size());
-    parallel_chunks(keys.size(), chunk_grain(),
-                    [&](std::size_t, std::size_t b, std::size_t e) {
-      // Last leaf <= keys[b] (-1: none): upper_bound yields the first
-      // leaf strictly greater, the candidate enclosure sits before it.
-      std::ptrdiff_t j =
-          std::upper_bound(tree.begin(), tree.end(), keys[b],
-                           RepLess<R>{}) -
-          tree.begin() - 1;
-      for (std::size_t kk = b; kk < e; ++kk) {
-        const quad_t& key = keys[kk];
-        while (j + 1 < n &&
-               !R::less(key, tree[static_cast<std::size_t>(j + 1)])) {
-          ++j;
-        }
-        if (j < 0) {
-          continue;
-        }
-        const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-        if (R::level(leaf) < R::level(key) - 1 &&
-            (R::equal(leaf, key) || R::is_ancestor(leaf, key))) {
-          // mo: relaxed — idempotent mark byte; readers run after the
-          // marking region joins.
-          std::atomic_ref<std::uint8_t>(split[static_cast<std::size_t>(j)])
-              .store(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  /// Call \p fn(leaf_index) for every leaf of the neighbor lookup's tree
-  /// whose domain touches the reference quadrant (\p t, \p ref) and lies
-  /// within the same-level neighbor region.
-  template <class Fn>
-  void collect_touching_leaves(const NeighborLookup& nb, tree_id_t t,
-                               const quad_t& ref, Fn&& fn) const {
-    const auto& tree = trees_[static_cast<std::size_t>(nb.tree)];
-    const auto enclosing = find_enclosing_leaf(nb.tree, nb.quad);
-    if (enclosing.has_value()) {
-      fn(*enclosing);
-      return;
-    }
-    // The region of the neighbor is covered by finer leaves: they form a
-    // contiguous run starting at the first leaf >= nb.quad. Translate the
-    // reference into the neighbor tree's coordinate frame so the touch
-    // test works across tree faces too.
-    const auto it =
-        std::lower_bound(tree.begin(), tree.end(), nb.quad, RepLess<R>{});
-    CanonicalQuadrant cref = to_canonical<R>(ref);
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
-    cref.x -= nb.tree_step[0] * root;
-    cref.y -= nb.tree_step[1] * root;
-    cref.z -= nb.tree_step[2] * root;
-    for (auto cur = it; cur != tree.end(); ++cur) {
-      if (!R::is_ancestor(nb.quad, *cur)) {
-        break;
-      }
-      if (nb.tree != t || !R::equal(*cur, ref)) {
-        if (canonical_touch(to_canonical<R>(*cur), cref)) {
-          fn(static_cast<std::size_t>(cur - tree.begin()));
-        }
-      }
-    }
+    merge_sweep(
+        ti, keys, chunk_grain(),
+        [](const quad_t& q) -> const quad_t& { return q; },
+        [&](std::size_t, std::size_t kk, std::ptrdiff_t j) {
+          if (j < 0) {
+            return;
+          }
+          const quad_t& key = keys[kk];
+          const quad_t& leaf = tree[static_cast<std::size_t>(j)];
+          if (R::level(leaf) < R::level(key) - 1 &&
+              (R::equal(leaf, key) || R::is_ancestor(leaf, key))) {
+            // mo: relaxed — idempotent mark byte; readers run after the
+            // marking region joins.
+            std::atomic_ref<std::uint8_t>(split[static_cast<std::size_t>(j)])
+                .store(1, std::memory_order_relaxed);
+          }
+        });
   }
 
   // ------------------------------------------------- ghost adjacency scan
@@ -2170,12 +2114,6 @@ class Forest {
     gidx_t source;
   };
 
-  /// Cross-tree adjacency keys one source tree emits into one target.
-  struct GhostBucket {
-    tree_id_t tree;
-    std::vector<GhostKey> keys;
-  };
-
   /// Shared core of ghost_layer and mirrors: scan the leaves of the
   /// global range [first, last) against every kFull neighbor offset and
   /// return, sorted and deduplicated, either every out-of-range leaf
@@ -2183,48 +2121,8 @@ class Forest {
   /// touching at least one out-of-range leaf (\p sources true — the
   /// mirrors; the touch relation is symmetric, so one pass over the own
   /// leaves replaces recomputing every other rank's ghost layer).
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
-                                                   bool sources) const {
-    obs::TraceSpan span("forest", "adjacency_scan");
-    span.arg("range", static_cast<std::int64_t>(last - first));
-    std::vector<gidx_t> seen = batch::enabled()
-                                   ? adjacency_scan_batched(first, last,
-                                                            sources)
-                                   : adjacency_scan_scalar(first, last,
-                                                           sources);
-    std::sort(seen.begin(), seen.end());
-    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-    return seen;
-  }
-
-  /// Scalar reference scan: one neighbor_at_offset + whole-tree binary
-  /// search per (leaf, offset) pair — the pre-batching ghost_layer loop,
-  /// kept selectable via the batch kill switch for parity tests and the
-  /// bench_ghost ablation.
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan_scalar(
-      gidx_t first, gidx_t last, bool sources) const {
-    std::vector<gidx_t> seen;
-    for (gidx_t g = first; g < last; ++g) {
-      const auto [t, i] = locate(g);
-      const quad_t& q = trees_[static_cast<std::size_t>(t)][i];
-      for_each_neighbor_offset(BalanceKind::kFull,
-                               [&, t = t, g = g](int dx, int dy, int dz) {
-        const auto nb = neighbor_at_offset(t, q, dx, dy, dz);
-        if (!nb.has_value()) {
-          return;
-        }
-        collect_touching_leaves(*nb, t, q, [&](std::size_t leaf_idx) {
-          const gidx_t lg = global_index(nb->tree, leaf_idx);
-          if (lg < first || lg >= last) {
-            seen.push_back(sources ? g : lg);
-          }
-        });
-      });
-    }
-    return seen;
-  }
-
-  /// Batched scan, the read-side twin of mark_splits_batched:
+  ///
+  /// The read-side twin of mark_splits, in two phases:
   ///   A. per involved tree (only trees intersecting the rank range),
   ///      build a MarkGrid, then sweep the rank's leaf subrange in
   ///      chunks — each chunk stages its leaves into level-uniform spans
@@ -2237,8 +2135,10 @@ class Forest {
   /// The reference domain needed by the finer-run touch filter comes for
   /// free: in the target frame it is the wrapped key position minus the
   /// offset displacement (the wrap translation cancels axis by axis).
-  [[nodiscard]] std::vector<gidx_t> adjacency_scan_batched(
-      gidx_t first, gidx_t last, bool sources) const {
+  [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
+                                                   bool sources) const {
+    obs::TraceSpan span("forest", "adjacency_scan");
+    span.arg("range", static_cast<std::int64_t>(last - first));
     std::vector<gidx_t> seen;
     if (first >= last) {
       return seen;
@@ -2250,12 +2150,11 @@ class Forest {
     parallel_over(nscan, [&, t0 = t0](std::size_t k) {
       build_mark_grid(static_cast<std::size_t>(t0) + k, grids[k]);
     });
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     const std::size_t grain = chunk_grain();
     static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
     static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
     std::vector<std::vector<gidx_t>> tree_seen(nscan);
-    std::vector<std::vector<GhostBucket>> buckets(nscan);
+    std::vector<std::vector<Bucket<GhostKey>>> buckets(nscan);
     parallel_over(nscan, [&, t0 = t0, t1 = t1, i0 = i0,
                           i1 = i1](std::size_t k) {
       const auto t = static_cast<tree_id_t>(static_cast<std::size_t>(t0) + k);
@@ -2267,23 +2166,13 @@ class Forest {
       const std::size_t m = b - a;
       const std::size_t nchunks = batch::chunk_count(m, grain);
       std::vector<std::vector<gidx_t>> chunk_seen(nchunks);
-      std::vector<std::vector<GhostBucket>> chunk_buckets(nchunks);
+      std::vector<std::vector<Bucket<GhostKey>>> chunk_buckets(nchunks);
       parallel_chunks(m, grain,
                       [&](std::size_t c, std::size_t cb, std::size_t ce) {
         auto& my_seen = chunk_seen[c];
         auto& my_buckets = chunk_buckets[c];
         std::size_t local_keys = 0;
         std::size_t merge_keys = 0;
-        auto bucket_for = [&](tree_id_t target) -> std::vector<GhostKey>& {
-          // Linear scan: a tree has at most 3^dim - 1 distinct targets.
-          for (GhostBucket& bk : my_buckets) {
-            if (bk.tree == target) {
-              return bk.keys;
-            }
-          }
-          my_buckets.push_back(GhostBucket{target, {}});
-          return my_buckets.back().keys;
-        };
         IndexedSpanStage<R> staged;
         for (std::size_t i = cb; i < ce; ++i) {
           staged.add(tree[a + i], a + i);
@@ -2308,23 +2197,10 @@ class Forest {
                                               static_cast<int>(l));
             for (std::size_t i = 0; i < span.size(); ++i) {
               std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-              std::array<int, 3> step = {0, 0, 0};
-              for (int axis = 0; axis < dim; ++axis) {
-                if (pos[axis] < 0) {
-                  step[axis] = -1;
-                  pos[axis] += root;
-                } else if (pos[axis] >= root) {
-                  step[axis] = 1;
-                  pos[axis] -= root;
-                }
-              }
-              tree_id_t target = t;
-              if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-                target = conn_.tree_offset_neighbor(t, step[0], step[1],
-                                                    step[2]);
-                if (target < 0) {
-                  continue;  // physical boundary
-                }
+              std::array<int, 3> step{};
+              const tree_id_t target = wrap_to_tree(t, pos, step);
+              if (target < 0) {
+                continue;  // physical boundary
               }
               const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
                                          static_cast<int>(l)};
@@ -2343,8 +2219,8 @@ class Forest {
                     });
               } else {
                 ++merge_keys;
-                bucket_for(target).push_back(
-                    GhostKey{from_canonical<R>(nc), ref, src_g});
+                bucket_for(my_buckets, target)
+                    .push_back(GhostKey{from_canonical<R>(nc), ref, src_g});
               }
             }
           });
@@ -2360,50 +2236,16 @@ class Forest {
       for (const auto& cs : chunk_seen) {
         ts.insert(ts.end(), cs.begin(), cs.end());
       }
-      auto& tb = buckets[k];
-      for (auto& cbk : chunk_buckets) {
-        for (GhostBucket& bk : cbk) {
-          const auto it = std::find_if(
-              tb.begin(), tb.end(),
-              [&](const GhostBucket& o) { return o.tree == bk.tree; });
-          if (it == tb.end()) {
-            tb.push_back(std::move(bk));
-          } else {
-            it->keys.insert(it->keys.end(), bk.keys.begin(), bk.keys.end());
-          }
-        }
-      }
+      merge_buckets(chunk_buckets, buckets[k]);
     });
-    // Phase B: group the buckets per target (serial pointer pass, as in
-    // mark_splits_batched), then resolve each target's keys.
-    std::vector<std::vector<const std::vector<GhostKey>*>> incoming(
-        trees_.size());
-    for (const auto& per_source : buckets) {
-      for (const GhostBucket& bk : per_source) {
-        incoming[static_cast<std::size_t>(bk.tree)].push_back(&bk.keys);
-      }
-    }
+    // Phase B: resolve each target tree's incoming keys.
     std::vector<std::vector<gidx_t>> target_seen(trees_.size());
-    parallel_over(trees_.size(), [&](std::size_t ti) {
-      if (incoming[ti].empty()) {
-        return;
-      }
-      std::size_t total = 0;
-      for (const auto* keys : incoming[ti]) {
-        total += keys->size();
-      }
-      std::vector<GhostKey> keys;
-      keys.reserve(total);
-      for (const auto* part : incoming[ti]) {
-        keys.insert(keys.end(), part->begin(), part->end());
-      }
-      std::sort(keys.begin(), keys.end(),
-                [](const GhostKey& x, const GhostKey& y) {
-                  return R::less(x.key, y.key);
-                });
-      resolve_touching_merge(ti, first, last, sources, keys,
-                             target_seen[ti]);
-    });
+    for_each_target(
+        buckets, [](const GhostKey& gk) -> const quad_t& { return gk.key; },
+        [&](std::size_t ti, const std::vector<GhostKey>& keys) {
+          resolve_touching_merge(ti, first, last, sources, keys,
+                                 target_seen[ti]);
+        });
     std::size_t total = 0;
     for (const auto& part : tree_seen) {
       total += part.size();
@@ -2418,19 +2260,21 @@ class Forest {
     for (const auto& part : target_seen) {
       seen.insert(seen.end(), part.begin(), part.end());
     }
+    std::sort(seen.begin(), seen.end());
+    seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
     return seen;
   }
 
-  /// Grid-accelerated equivalent of collect_touching_leaves for a key
-  /// staying in its source tree. The aligned cell block covered by the
+  /// Grid-accelerated touching-leaf lookup for a key staying in its
+  /// source tree. The aligned cell block covered by the
   /// key maps to the contiguous leaf range [begin[c0], end[c1]) — the
   /// leaves intersecting the key's domain: the range-local upper_bound
   /// finds the enclosing leaf if one exists (emitted unconditionally: an
   /// enclosing leaf always touches the reference, which is adjacent to
   /// the key region it contains); otherwise the key's descendants form a
   /// contiguous run starting right at that upper_bound, filtered by the
-  /// canonical touch test exactly like the scalar path. (The scalar
-  /// path's periodic self-exclusion is vacuous here: finer-run leaves are
+  /// canonical touch test. (Excluding the reference leaf itself, which a
+  /// periodic wrap can land on, is vacuous here: finer-run leaves are
   /// strictly finer than the same-level reference, so they can never
   /// equal it.)
   template <class Fn>
@@ -2467,21 +2311,18 @@ class Forest {
       if (!R::is_ancestor(key, *cur)) {
         break;
       }
-      if (canonical_touch(to_canonical<R>(*cur), ref)) {
+      if (canonical_touch<dim>(to_canonical<R>(*cur), ref)) {
         fn(static_cast<std::size_t>(cur - tree.begin()));
       }
     }
   }
 
-  /// Phase B worker of the batched adjacency scan: resolve one target
-  /// tree's incoming cross-tree keys (sorted by curve order) with a
-  /// sorted-merge sweep, chunked like mark_enclosing_merge — each key
-  /// chunk seeds its last-leaf-<=-key cursor with one binary search and
-  /// advances it monotonically. Enclosures emit unconditionally; finer
-  /// runs scan forward from the cursor with the canonical touch filter
-  /// against the key's translated reference. Emissions collect into
-  /// per-chunk vectors (concatenated at the end) so the chunk workers
-  /// never share a sink.
+  /// Phase B worker of the adjacency scan: resolve one target tree's
+  /// curve-sorted cross-tree keys with a merge_sweep. Enclosures emit
+  /// unconditionally; finer runs scan forward from the cursor with the
+  /// canonical touch filter against the key's translated reference.
+  /// Emissions collect into per-chunk vectors (concatenated at the end)
+  /// so the chunk workers never share a sink.
   void resolve_touching_merge(std::size_t ti, gidx_t first, gidx_t last,
                               bool sources,
                               const std::vector<GhostKey>& keys,
@@ -2492,62 +2333,38 @@ class Forest {
     const std::size_t grain = chunk_grain();
     std::vector<std::vector<gidx_t>> chunk_out(
         batch::chunk_count(keys.size(), grain));
-    parallel_chunks(keys.size(), grain,
-                    [&](std::size_t c, std::size_t b, std::size_t e) {
-      auto& mine = chunk_out[c];
-      auto emit = [&](std::size_t leaf_idx, const GhostKey& gk) {
-        const gidx_t lg = global_index(t, leaf_idx);
-        if (lg < first || lg >= last) {
-          mine.push_back(sources ? gk.source : lg);
-        }
-      };
-      std::ptrdiff_t j =
-          std::upper_bound(tree.begin(), tree.end(), keys[b].key,
-                           RepLess<R>{}) -
-          tree.begin() - 1;
-      for (std::size_t kk = b; kk < e; ++kk) {
-        const GhostKey& gk = keys[kk];
-        while (j + 1 < n &&
-               !R::less(gk.key, tree[static_cast<std::size_t>(j + 1)])) {
-          ++j;
-        }
-        if (j >= 0) {
-          const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-          if (R::equal(leaf, gk.key) || R::is_ancestor(leaf, gk.key)) {
-            emit(static_cast<std::size_t>(j), gk);
-            continue;
+    merge_sweep(
+        ti, keys, grain,
+        [](const GhostKey& gk) -> const quad_t& { return gk.key; },
+        [&](std::size_t c, std::size_t kk, std::ptrdiff_t j) {
+          const GhostKey& gk = keys[kk];
+          auto emit = [&](std::ptrdiff_t leaf_idx) {
+            const gidx_t lg =
+                global_index(t, static_cast<std::size_t>(leaf_idx));
+            if (lg < first || lg >= last) {
+              chunk_out[c].push_back(sources ? gk.source : lg);
+            }
+          };
+          if (j >= 0) {
+            const quad_t& leaf = tree[static_cast<std::size_t>(j)];
+            if (R::equal(leaf, gk.key) || R::is_ancestor(leaf, gk.key)) {
+              emit(j);
+              return;
+            }
           }
-        }
-        for (std::ptrdiff_t r = j + 1; r < n; ++r) {
-          const quad_t& leaf = tree[static_cast<std::size_t>(r)];
-          if (!R::is_ancestor(gk.key, leaf)) {
-            break;
+          for (std::ptrdiff_t r = j + 1; r < n; ++r) {
+            const quad_t& leaf = tree[static_cast<std::size_t>(r)];
+            if (!R::is_ancestor(gk.key, leaf)) {
+              break;
+            }
+            if (canonical_touch<dim>(to_canonical<R>(leaf), gk.ref)) {
+              emit(r);
+            }
           }
-          if (canonical_touch(to_canonical<R>(leaf), gk.ref)) {
-            emit(static_cast<std::size_t>(r), gk);
-          }
-        }
-      }
-    });
+        });
     for (const auto& mine : chunk_out) {
       out.insert(out.end(), mine.begin(), mine.end());
     }
-  }
-
-  /// Whether two canonical domains touch (share at least a point); the
-  /// caller is responsible for expressing both in the same frame.
-  static bool canonical_touch(const CanonicalQuadrant& a,
-                              const CanonicalQuadrant& b) {
-    const std::int64_t ha = std::int64_t{1} << (kCanonicalLevel - a.level);
-    const std::int64_t hb = std::int64_t{1} << (kCanonicalLevel - b.level);
-    const std::int64_t pa[3] = {a.x, a.y, a.z};
-    const std::int64_t pb[3] = {b.x, b.y, b.z};
-    for (int i = 0; i < dim; ++i) {
-      if (pa[i] + ha < pb[i] || pb[i] + hb < pa[i]) {
-        return false;
-      }
-    }
-    return true;
   }
 
   /// Recursive completeness test of a leaf span against an ancestor.
@@ -2608,51 +2425,6 @@ class Forest {
     return true;
   }
 
-  template <class Fn>
-  void emit_face(tree_id_t t, std::size_t i, const quad_t& q, int f,
-                 Fn& cb) const {
-    FaceInfo<R> info;
-    info.tree[0] = t;
-    info.quad[0] = q;
-    info.leaf_index[0] = i;
-    info.face[0] = f;
-
-    const int axis = f >> 1;
-    const int dirs[3] = {axis == 0 ? ((f & 1) ? 1 : -1) : 0,
-                         axis == 1 ? ((f & 1) ? 1 : -1) : 0,
-                         axis == 2 ? ((f & 1) ? 1 : -1) : 0};
-    const auto nb = neighbor_at_offset(t, q, dirs[0], dirs[1], dirs[2]);
-    if (!nb.has_value()) {
-      info.is_boundary = true;
-      cb(info);
-      return;
-    }
-    const auto enclosing = find_enclosing_leaf(nb->tree, nb->quad);
-    if (!enclosing.has_value()) {
-      // Neighbor region is finer: those leaves emit toward us instead.
-      return;
-    }
-    const auto& ntree = trees_[static_cast<std::size_t>(nb->tree)];
-    const quad_t& leaf = ntree[*enclosing];
-    const int lq = R::level(q);
-    const int ll = R::level(leaf);
-    if (ll == lq) {
-      // Equal-size pair: the globally lower side emits.
-      if (global_index(t, i) > global_index(nb->tree, *enclosing)) {
-        return;
-      }
-    } else if (ll > lq) {
-      return;  // cannot happen for an enclosing leaf
-    } else {
-      info.is_hanging = true;  // we are the finer side
-    }
-    info.tree[1] = nb->tree;
-    info.quad[1] = leaf;
-    info.leaf_index[1] = *enclosing;
-    info.face[1] = f ^ 1;
-    cb(info);
-  }
-
   // ------------------------------------------------ batched face iteration
 
   /// One cross-tree face key of the batched iteration: the face-neighbor
@@ -2665,46 +2437,29 @@ class Forest {
     int face;
   };
 
-  /// Cross-tree face keys one source tree emits into one target.
-  struct FaceBucket {
-    tree_id_t tree;
-    std::vector<FaceKey> keys;
-  };
-
-  /// Batched iterate_faces: per tree (tree-parallel), sweep the leaves in
-  /// chunks — each chunk stages its leaves into level-uniform spans with
-  /// their source indices and bulk-emits all 2*dim face-neighbor keys per
-  /// span; local keys resolve against the tree's MarkGrid, cross-tree
-  /// keys are bucketed and resolved per target with a sorted-merge sweep.
-  /// Every emission decision replays emit_face's contract on the resolved
-  /// enclosing leaf, so the emitted face SET matches the scalar path
-  /// exactly (order differs and the callback runs concurrently).
+  /// The face sweep of iterate_faces: per tree (tree-parallel), sweep the
+  /// leaves in chunks — each chunk stages its leaves into level-uniform
+  /// spans with their source indices and bulk-emits all 2*dim
+  /// face-neighbor keys per span; local keys resolve against the tree's
+  /// MarkGrid, cross-tree keys are bucketed and resolved per target with a
+  /// merge_sweep. Every resolved pair goes through report_face; keys whose
+  /// neighbor region is finer emit nothing (those finer leaves emit
+  /// toward us).
   template <class Fn>
-  void iterate_faces_batched(Fn& cb) const {
+  void sweep_faces(Fn& cb) const {
     const std::size_t nt = trees_.size();
     std::vector<MarkGrid> grids(nt);
     parallel_over(nt, [&](std::size_t ti) { build_mark_grid(ti, grids[ti]); });
-    const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
     const std::size_t grain = chunk_grain();
-    std::vector<std::vector<FaceBucket>> buckets(nt);
+    std::vector<std::vector<Bucket<FaceKey>>> buckets(nt);
     parallel_over(nt, [&](std::size_t ti) {
       const auto t = static_cast<tree_id_t>(ti);
       const auto& tree = trees_[ti];
       const MarkGrid& grid = grids[ti];
       const std::size_t nchunks = batch::chunk_count(tree.size(), grain);
-      std::vector<std::vector<FaceBucket>> chunk_buckets(nchunks);
+      std::vector<std::vector<Bucket<FaceKey>>> chunk_buckets(nchunks);
       parallel_chunks(tree.size(), grain,
                       [&](std::size_t c, std::size_t cb_, std::size_t ce) {
-        auto& my_buckets = chunk_buckets[c];
-        auto bucket_for = [&](tree_id_t target) -> std::vector<FaceKey>& {
-          for (FaceBucket& bk : my_buckets) {
-            if (bk.tree == target) {
-              return bk.keys;
-            }
-          }
-          my_buckets.push_back(FaceBucket{target, {}});
-          return my_buckets.back().keys;
-        };
         IndexedSpanStage<R> staged;
         for (std::size_t i = cb_; i < ce; ++i) {
           staged.add(tree[i], i);
@@ -2731,178 +2486,82 @@ class Forest {
                                               static_cast<int>(l));
             for (std::size_t i = 0; i < span.size(); ++i) {
               std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-              std::array<int, 3> step = {0, 0, 0};
-              for (int a = 0; a < dim; ++a) {
-                if (pos[a] < 0) {
-                  step[a] = -1;
-                  pos[a] += root;
-                } else if (pos[a] >= root) {
-                  step[a] = 1;
-                  pos[a] -= root;
-                }
-              }
-              tree_id_t target = t;
-              if (step[0] != 0 || step[1] != 0 || step[2] != 0) {
-                target = conn_.tree_offset_neighbor(t, step[0], step[1],
-                                                    step[2]);
-              }
-              if (target < 0) {
-                FaceInfo<R> info;
-                info.tree[0] = t;
-                info.quad[0] = span[i];
-                info.leaf_index[0] = src[i];
-                info.face[0] = f;
-                info.is_boundary = true;
-                cb(info);
-                continue;
-              }
+              std::array<int, 3> step{};
+              const tree_id_t target = wrap_to_tree(t, pos, step);
               const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
                                          static_cast<int>(l)};
-              if (target != t) {
-                bucket_for(target).push_back(
-                    FaceKey{from_canonical<R>(nc), t, src[i], f});
-                continue;
-              }
-              const auto enclosing = resolve_enclosing_grid(ti, grid, nc);
-              if (!enclosing.has_value()) {
-                continue;  // neighbor region finer: it emits toward us
-              }
-              const quad_t& leaf = tree[*enclosing];
-              const int ll = R::level(leaf);
-              FaceInfo<R> info;
-              info.tree[0] = t;
-              info.quad[0] = span[i];
-              info.leaf_index[0] = src[i];
-              info.face[0] = f;
-              if (ll == static_cast<int>(l)) {
-                if (global_index(t, src[i]) >
-                    global_index(t, *enclosing)) {
-                  continue;  // equal-size pair: the lower side emits
+              if (target < 0) {
+                report_face(cb, t, src[i], span[i], f, -1, 0);  // boundary
+              } else if (target != t) {
+                bucket_for(chunk_buckets[c], target)
+                    .push_back(FaceKey{from_canonical<R>(nc), t, src[i], f});
+              } else if (const auto enclosing =
+                             resolve_enclosing_grid(ti, grid, nc)) {
+                report_face(cb, t, src[i], span[i], f, t, *enclosing);
+              }  // else the neighbor region is finer: it emits toward us
+            }
+          }
+        }
+      });
+      merge_buckets(chunk_buckets, buckets[ti]);
+    });
+    for_each_target(
+        buckets, [](const FaceKey& fk) -> const quad_t& { return fk.key; },
+        [&](std::size_t ti, const std::vector<FaceKey>& keys) {
+          const auto& tree = trees_[ti];
+          merge_sweep(
+              ti, keys, grain,
+              [](const FaceKey& fk) -> const quad_t& { return fk.key; },
+              [&](std::size_t, std::size_t kk, std::ptrdiff_t j) {
+                const FaceKey& fk = keys[kk];
+                if (j < 0) {
+                  return;
                 }
-              } else {
-                info.is_hanging = true;  // we are the finer side
-              }
-              info.tree[1] = t;
-              info.quad[1] = leaf;
-              info.leaf_index[1] = *enclosing;
-              info.face[1] = f ^ 1;
-              cb(info);
-            }
-          }
-        }
-      });
-      auto& tb = buckets[ti];
-      for (auto& cbk : chunk_buckets) {
-        for (FaceBucket& bk : cbk) {
-          const auto it = std::find_if(
-              tb.begin(), tb.end(),
-              [&](const FaceBucket& o) { return o.tree == bk.tree; });
-          if (it == tb.end()) {
-            tb.push_back(std::move(bk));
-          } else {
-            it->keys.insert(it->keys.end(), bk.keys.begin(), bk.keys.end());
-          }
-        }
-      }
-    });
-    std::vector<std::vector<const std::vector<FaceKey>*>> incoming(nt);
-    for (const auto& per_source : buckets) {
-      for (const FaceBucket& bk : per_source) {
-        incoming[static_cast<std::size_t>(bk.tree)].push_back(&bk.keys);
-      }
+                const quad_t& leaf = tree[static_cast<std::size_t>(j)];
+                if (R::equal(leaf, fk.key) || R::is_ancestor(leaf, fk.key)) {
+                  report_face(cb, fk.src_tree, fk.src_leaf,
+                              trees_[static_cast<std::size_t>(fk.src_tree)]
+                                    [fk.src_leaf],
+                              fk.face, static_cast<tree_id_t>(ti),
+                              static_cast<std::size_t>(j));
+                }  // else the neighbor region is finer: it emits toward us
+              });
+        });
+  }
+
+  /// Apply iterate_faces's exactly-once contract to leaf \p i (= \p q)
+  /// of tree \p t across face \p f, whose face neighbor resolved to the
+  /// enclosing leaf \p j of tree \p nt (\p nt < 0: physical boundary):
+  /// equal-size pairs are emitted only from the globally lower leaf;
+  /// otherwise the enclosing neighbor is coarser and side 0 is the
+  /// hanging side.
+  template <class Fn>
+  void report_face(Fn& cb, tree_id_t t, std::size_t i, const quad_t& q,
+                   int f, tree_id_t nt, std::size_t j) const {
+    FaceInfo<R> info;
+    info.tree[0] = t;
+    info.quad[0] = q;
+    info.leaf_index[0] = i;
+    info.face[0] = f;
+    if (nt < 0) {
+      info.is_boundary = true;
+      cb(info);
+      return;
     }
-    parallel_over(nt, [&](std::size_t ti) {
-      if (incoming[ti].empty()) {
-        return;
+    const quad_t& leaf = trees_[static_cast<std::size_t>(nt)][j];
+    if (R::level(leaf) == R::level(q)) {
+      if (global_index(t, i) > global_index(nt, j)) {
+        return;  // equal-size pair: the lower side emits
       }
-      const auto& tree = trees_[ti];
-      const auto n = static_cast<std::ptrdiff_t>(tree.size());
-      std::size_t total = 0;
-      for (const auto* keys : incoming[ti]) {
-        total += keys->size();
-      }
-      std::vector<FaceKey> keys;
-      keys.reserve(total);
-      for (const auto* part : incoming[ti]) {
-        keys.insert(keys.end(), part->begin(), part->end());
-      }
-      std::sort(keys.begin(), keys.end(),
-                [](const FaceKey& x, const FaceKey& y) {
-                  return R::less(x.key, y.key);
-                });
-      parallel_chunks(keys.size(), grain,
-                      [&](std::size_t, std::size_t b, std::size_t e) {
-        std::ptrdiff_t j =
-            std::upper_bound(tree.begin(), tree.end(), keys[b].key,
-                             RepLess<R>{}) -
-            tree.begin() - 1;
-        for (std::size_t kk = b; kk < e; ++kk) {
-          const FaceKey& fk = keys[kk];
-          while (j + 1 < n &&
-                 !R::less(fk.key, tree[static_cast<std::size_t>(j + 1)])) {
-            ++j;
-          }
-          if (j < 0) {
-            continue;
-          }
-          const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-          if (!R::equal(leaf, fk.key) && !R::is_ancestor(leaf, fk.key)) {
-            continue;  // neighbor region finer: it emits toward us
-          }
-          const quad_t& srcq =
-              trees_[static_cast<std::size_t>(fk.src_tree)][fk.src_leaf];
-          const int lq = R::level(srcq);
-          const int ll = R::level(leaf);
-          FaceInfo<R> info;
-          info.tree[0] = fk.src_tree;
-          info.quad[0] = srcq;
-          info.leaf_index[0] = fk.src_leaf;
-          info.face[0] = fk.face;
-          if (ll == lq) {
-            if (global_index(fk.src_tree, fk.src_leaf) >
-                global_index(static_cast<tree_id_t>(ti),
-                             static_cast<std::size_t>(j))) {
-              continue;  // equal-size pair: the lower side emits
-            }
-          } else {
-            info.is_hanging = true;  // source is the finer side
-          }
-          info.tree[1] = static_cast<tree_id_t>(ti);
-          info.quad[1] = leaf;
-          info.leaf_index[1] = static_cast<std::size_t>(j);
-          info.face[1] = fk.face ^ 1;
-          cb(info);
-        }
-      });
-    });
+    } else {
+      info.is_hanging = true;
+    }
+    info.tree[1] = nt;
+    info.quad[1] = leaf;
+    info.leaf_index[1] = j;
+    info.face[1] = f ^ 1;
+    cb(info);
   }
-
-  // ----------------------------------------------------- point search core
-
-  /// Representation key of a query point: the max_level quadrant whose
-  /// half-open box contains the point. Masking the coordinates down to
-  /// max_level alignment keeps from_canonical's grid precondition.
-  [[nodiscard]] quad_t point_key(const PointQuery& p) const {
-    const std::int64_t mask =
-        ~((std::int64_t{1} << (kCanonicalLevel - R::max_level)) - 1);
-    return from_canonical<R>(
-        CanonicalQuadrant{p.x & mask, p.y & mask, p.z & mask, R::max_level});
-  }
-
-  /// Scalar point location: the containing leaf is the last leaf <= the
-  /// point's max_level key in curve order (an enclosure relation, so
-  /// upper_bound - 1; a complete tree always contains the point, hence
-  /// the assert).
-  [[nodiscard]] gidx_t search_point_scalar(const PointQuery& p) const {
-    const auto& tree = trees_[static_cast<std::size_t>(p.tree)];
-    const quad_t key = point_key(p);
-    const auto it =
-        std::upper_bound(tree.begin(), tree.end(), key, RepLess<R>{});
-    assert(it != tree.begin());
-    return global_index(p.tree,
-                        static_cast<std::size_t>(it - tree.begin()) - 1);
-  }
-
   Connectivity conn_;
   par::Communicator comm_;
   std::vector<std::vector<quad_t>> trees_;

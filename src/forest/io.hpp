@@ -132,17 +132,25 @@ class ByteReader {
   template <class T>
   [[nodiscard]] std::vector<T> read_array() {
     static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = static_cast<std::size_t>(read<std::uint64_t>());
-    std::vector<T> out(n);
-    copy_out(out.data(), n * sizeof(T));
+    const auto n = read<std::uint64_t>();
+    // Checked before allocating: an untrusted count must not size a
+    // buffer the message cannot fill.
+    check_remaining(n, sizeof(T));
+    std::vector<T> out(static_cast<std::size_t>(n));
+    copy_out(out.data(), out.size() * sizeof(T));
     return out;
   }
 
  private:
-  void copy_out(void* dst, std::size_t n) {
-    if (static_cast<std::size_t>(end_ - p_) < n) {
+  /// Throw unless \p count elements of \p size bytes remain.
+  void check_remaining(std::uint64_t count, std::size_t size) const {
+    if (count > static_cast<std::size_t>(end_ - p_) / size) {
       throw std::runtime_error("qforest::io: truncated message buffer");
     }
+  }
+
+  void copy_out(void* dst, std::size_t n) {
+    check_remaining(n, 1);
     std::memcpy(dst, p_, n);
     p_ += n;
   }
@@ -187,7 +195,9 @@ void save_forest(std::ostream& out, const Forest<R>& forest) {
 }
 
 /// Deserialize into representation \p R (not necessarily the one that
-/// saved the stream). Throws std::runtime_error on malformed input and
+/// saved the stream). Throws std::runtime_error on malformed input —
+/// including coordinates outside [0, 2^60), z != 0 in 2D and coordinates
+/// not aligned to their level (hence not representable in \p R) — and
 /// std::invalid_argument when the stream's levels exceed R::max_level.
 template <class R>
 Forest<R> load_forest(std::istream& in) {
@@ -234,11 +244,13 @@ Forest<R> load_forest(std::istream& in) {
   Forest<R> forest =
       Forest<R>::new_root(conn, static_cast<int>(ranks));
   // Rebuild each tree's leaf array from the canonical stream.
+  // No reserve from the untrusted leaf count: a count larger than the
+  // stream fails as a truncated stream instead of a huge allocation.
   std::vector<std::vector<typename R::quad_t>> trees(num_trees);
+  const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
   for (std::uint32_t t = 0; t < num_trees; ++t) {
     const auto count = read_pod<std::uint64_t>(in);
     auto& tree = trees[t];
-    tree.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
       CanonicalQuadrant c;
       c.x = read_pod<std::int64_t>(in);
@@ -248,6 +260,22 @@ Forest<R> load_forest(std::istream& in) {
       if (c.level > R::max_level) {
         throw std::invalid_argument(
             "qforest::load_forest: level exceeds representation limit");
+      }
+      // from_canonical's precondition, checked here because its assert
+      // is compiled out in release builds: a misaligned coordinate would
+      // silently lose its low bits. Level alignment implies alignment to
+      // R's grid, since level <= R::max_level.
+      const std::int64_t low =
+          (std::int64_t{1} << (kCanonicalLevel - c.level)) - 1;
+      for (const std::int64_t v : {c.x, c.y, c.z}) {
+        if (v < 0 || v >= root || (v & low) != 0) {
+          throw std::runtime_error(
+              "qforest::load_forest: coordinate outside the tree or not "
+              "aligned to its level");
+        }
+      }
+      if (R::dim == 2 && c.z != 0) {
+        throw std::runtime_error("qforest::load_forest: nonzero z in 2D");
       }
       tree.push_back(from_canonical<R>(c));
     }

@@ -2,10 +2,10 @@
 /// \file thread_pool.hpp
 /// \brief Small fixed-size worker pool for data-parallel loops.
 ///
-/// Used by the examples and by the strong-scaling driver when the machine
-/// offers more than one hardware thread; all benchmark *measurements* use
-/// serial per-task timing (see strong_scaling.hpp) so results do not depend
-/// on the container's core count.
+/// Runs the forest's tree- and chunk-level loops (forest_pool in
+/// forest/forest.hpp). The figure benchmarks' *measurements* use serial
+/// per-task timing instead (see bench/strong_scaling.hpp), so their
+/// results do not depend on the host's core count.
 
 #include <cstddef>
 #include <functional>

@@ -1,13 +1,15 @@
 #pragma once
 /// \file helpers.hpp
 /// \brief Shared test utilities: random quadrant generation, the list of
-/// representation types under test, and canonical-form matchers.
+/// representation types under test, canonical-form and forest-equality
+/// matchers, and the kernel-dispatch flag guard.
 
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/batch_ops.hpp"
 #include "core/canonical.hpp"
 #include "core/debug_check.hpp"
 #include "core/quadrant_avx.hpp"
@@ -15,6 +17,7 @@
 #include "core/quadrant_std.hpp"
 #include "core/quadrant_wide.hpp"
 #include "core/rep_traits.hpp"
+#include "forest/connectivity.hpp"
 #include "util/random.hpp"
 
 namespace qforest::test {
@@ -83,6 +86,51 @@ template <class RA, class RB>
          << ca.level << ") vs " << RB::name << "(" << cb.x << "," << cb.y
          << "," << cb.z << ",l" << cb.level << ")";
 }
+
+/// gtest assertion: two forests hold the same leaves tree for tree (and
+/// the same payloads, when the channel is enabled).
+template <class F>
+::testing::AssertionResult same_forest(const F& a, const F& b) {
+  using R = typename F::rep;
+  if (a.num_quadrants() != b.num_quadrants()) {
+    return ::testing::AssertionFailure()
+           << "leaf counts differ: " << a.num_quadrants() << " vs "
+           << b.num_quadrants();
+  }
+  for (tree_id_t t = 0; t < a.num_trees(); ++t) {
+    const auto& ta = a.tree_quadrants(t);
+    const auto& tb = b.tree_quadrants(t);
+    if (ta.size() != tb.size()) {
+      return ::testing::AssertionFailure()
+             << "tree " << t << " sizes differ: " << ta.size() << " vs "
+             << tb.size();
+    }
+    for (std::size_t i = 0; i < ta.size(); ++i) {
+      if (!R::equal(ta[i], tb[i])) {
+        return ::testing::AssertionFailure()
+               << "tree " << t << " leaf " << i << " differs";
+      }
+      if (a.payload_enabled() &&
+          a.tree_payloads(t)[i] != b.tree_payloads(t)[i]) {
+        return ::testing::AssertionFailure()
+               << "tree " << t << " payload " << i << " differs";
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Sets the process-global kernel dispatch flag (batch::set_enabled: SIMD
+/// or generic BatchOps kernels) for one scope and restores it even when
+/// an ASSERT_ bails out of the test body, so later tests never run with
+/// stale state.
+struct BatchFlagGuard {
+  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
+    batch::set_enabled(on);
+  }
+  ~BatchFlagGuard() { batch::set_enabled(saved_); }
+  bool saved_;
+};
 
 /// All shipped representations, used by TYPED_TEST suites.
 using Reps2D = ::testing::Types<StandardRep<2>, MortonRep<2>, AvxRep<2>,

@@ -1,61 +1,43 @@
 /// \file test_balance_cross_tree.cpp
-/// \brief Cross-tree balance marking parity: the batched mark phase
-/// (bulk neighbor keys + sorted-merge lookup) and the scalar per-quadrant
-/// reference path (QFOREST_NO_BATCH semantics via batch::set_enabled) must
-/// produce identical final meshes when the 2:1 ripple crosses one tree
-/// face, two faces (diagonal tree_step on 2 axes) and — in 3D — tree
-/// edges and corners (tree_step on 3 axes), including periodic wrap where
-/// the "neighbor" tree is the source tree itself.
+/// \brief Cross-tree balance parity: Forest::balance (bulk neighbor keys +
+/// grid / sorted-merge lookup), run over the SIMD kernels and over the
+/// generic kernels (QFOREST_NO_BATCH semantics via batch::set_enabled),
+/// must produce the same final mesh as the scalar reference
+/// oracle::balance (tests/forest_oracle.hpp) when the 2:1 ripple crosses
+/// one tree face, two faces (diagonal tree_step on 2 axes) and — in 3D —
+/// tree edges and corners (tree_step on 3 axes), including periodic wrap
+/// where the "neighbor" tree is the source tree itself.
 
 #include <cstdint>
 #include <utility>
 
 #include <gtest/gtest.h>
 
-#include "core/batch_ops.hpp"
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "helpers.hpp"
 
 namespace qforest {
 namespace {
 
-/// Restores the process-global dispatch flag even when an ASSERT_ bails
-/// out of the test body, so later tests never run with stale state.
-struct BatchFlagGuard {
-  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~BatchFlagGuard() { batch::set_enabled(saved_); }
-  bool saved_;
-};
+using test::BatchFlagGuard;
 
-/// Balance two copies of \p f — one per mark-phase implementation — and
-/// require bit-identical leaf arrays tree for tree. Balance only ever
-/// splits, so equal final meshes imply the two mark phases requested the
-/// same cumulative split sets.
+/// Balance copies of \p f with the oracle and with Forest::balance under
+/// both kernel dispatch settings, and require bit-identical leaf arrays
+/// tree for tree. Balance only ever splits, so equal final meshes imply
+/// the mark phases requested the same cumulative split sets.
 template <class R>
 void expect_mark_parity(const Forest<R>& f, BalanceKind kind) {
-  Forest<R> scalar = f;
-  {
-    const BatchFlagGuard guard(false);
-    scalar.balance(kind);
-  }
-  Forest<R> batched = f;
-  {
-    const BatchFlagGuard guard(true);
+  Forest<R> reference = f;
+  oracle::balance(reference, kind);
+  ASSERT_TRUE(reference.is_balanced(kind)) << R::name;
+  for (const bool simd : {true, false}) {
+    const BatchFlagGuard guard(simd);
+    Forest<R> batched = f;
     batched.balance(kind);
-  }
-  ASSERT_TRUE(batched.is_valid()) << R::name;
-  ASSERT_TRUE(batched.is_balanced(kind)) << R::name;
-  ASSERT_EQ(scalar.num_quadrants(), batched.num_quadrants()) << R::name;
-  for (tree_id_t t = 0; t < f.num_trees(); ++t) {
-    const auto& st = scalar.tree_quadrants(t);
-    const auto& bt = batched.tree_quadrants(t);
-    ASSERT_EQ(st.size(), bt.size()) << R::name << " tree " << t;
-    for (std::size_t i = 0; i < st.size(); ++i) {
-      ASSERT_TRUE(R::equal(st[i], bt[i]))
-          << R::name << " tree " << t << " leaf " << i;
-    }
+    EXPECT_TRUE(batched.is_valid()) << R::name;
+    EXPECT_TRUE(test::same_forest(reference, batched))
+        << R::name << " simd=" << simd;
   }
 }
 

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "forest/forest.hpp"
+#include "forest_oracle.hpp"
 #include "helpers.hpp"
 
 namespace qforest {
@@ -96,36 +97,6 @@ Forest<R> run_pipeline() {
   return f;
 }
 
-template <class R>
-::testing::AssertionResult same_forest(const Forest<R>& a,
-                                       const Forest<R>& b) {
-  if (a.num_quadrants() != b.num_quadrants()) {
-    return ::testing::AssertionFailure()
-           << "leaf counts differ: " << a.num_quadrants() << " vs "
-           << b.num_quadrants();
-  }
-  for (tree_id_t t = 0; t < a.num_trees(); ++t) {
-    const auto& ta = a.tree_quadrants(t);
-    const auto& tb = b.tree_quadrants(t);
-    if (ta.size() != tb.size()) {
-      return ::testing::AssertionFailure()
-             << "tree " << t << " sizes differ: " << ta.size() << " vs "
-             << tb.size();
-    }
-    for (std::size_t i = 0; i < ta.size(); ++i) {
-      if (!R::equal(ta[i], tb[i])) {
-        return ::testing::AssertionFailure()
-               << "tree " << t << " leaf " << i << " differs";
-      }
-      if (a.payload_enabled() &&
-          a.tree_payloads(t)[i] != b.tree_payloads(t)[i]) {
-        return ::testing::AssertionFailure()
-               << "tree " << t << " payload " << i << " differs";
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
 
 TYPED_TEST(IntraTreeT, TinyChunkGrainsMatchSerialPath) {
   using R = TypeParam;
@@ -139,7 +110,7 @@ TYPED_TEST(IntraTreeT, TinyChunkGrainsMatchSerialPath) {
     set_chunk_grain(grain);
     const Forest<R> chunked = run_pipeline<R>();
     EXPECT_TRUE(chunked.is_valid()) << "grain " << grain;
-    EXPECT_TRUE(same_forest(reference, chunked)) << "grain " << grain;
+    EXPECT_TRUE(test::same_forest(reference, chunked)) << "grain " << grain;
   }
 }
 
@@ -151,7 +122,7 @@ TYPED_TEST(IntraTreeT, PerTreeOnlySchedulerMatchesChunked) {
   set_intra_tree_parallelism(true);
   set_chunk_grain(3);
   const Forest<R> chunked = run_pipeline<R>();
-  EXPECT_TRUE(same_forest(per_tree, chunked));
+  EXPECT_TRUE(test::same_forest(per_tree, chunked));
 }
 
 using R3 = MortonRep<3>;
@@ -171,7 +142,7 @@ TEST_F(IntraTreeEnv, MultiTreeTinyChunksMatchSerial) {
   set_intra_tree_parallelism(true);
   set_chunk_grain(2);
   const auto chunked = build();
-  EXPECT_TRUE(same_forest(reference, chunked));
+  EXPECT_TRUE(test::same_forest(reference, chunked));
 }
 
 TEST_F(IntraTreeEnv, BalanceGridReuseAcrossFixpointIterationsMatchesScalar) {
@@ -186,14 +157,16 @@ TEST_F(IntraTreeEnv, BalanceGridReuseAcrossFixpointIterationsMatchesScalar) {
     return f;
   };
   auto scalar = build();
-  batch::set_enabled(false);
-  scalar.balance(BalanceKind::kFull);
-  auto batched = build();
-  batch::set_enabled(true);
-  set_chunk_grain(5);
-  batched.balance(BalanceKind::kFull);
+  oracle::balance(scalar, BalanceKind::kFull);
   EXPECT_TRUE(scalar.is_balanced(BalanceKind::kFull));
-  EXPECT_TRUE(same_forest(scalar, batched));
+  set_chunk_grain(5);
+  auto batched = build();
+  for (const bool simd : {false, true}) {
+    batch::set_enabled(simd);
+    batched = build();
+    batched.balance(BalanceKind::kFull);
+    EXPECT_TRUE(test::same_forest(scalar, batched)) << "simd=" << simd;
+  }
   // Reuse must also keep the no-op property: a second balance changes
   // nothing.
   const gidx_t leaves = batched.num_quadrants();

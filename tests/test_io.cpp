@@ -2,7 +2,11 @@
 /// \brief Forest serialization + representation-independent checksums:
 /// round trips, cross-representation loads, corruption rejection.
 
+#include <cstdint>
+#include <cstring>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -40,16 +44,8 @@ TYPED_TEST(IoT, SaveLoadRoundTrip) {
   save_forest(ss, f);
   const auto g = load_forest<R>(ss);
   ASSERT_EQ(g.num_trees(), f.num_trees());
-  ASSERT_EQ(g.num_quadrants(), f.num_quadrants());
   EXPECT_EQ(g.num_ranks(), f.num_ranks());
-  for (tree_id_t t = 0; t < f.num_trees(); ++t) {
-    const auto& a = f.tree_quadrants(t);
-    const auto& b = g.tree_quadrants(t);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_TRUE(R::equal(a[i], b[i]));
-    }
-  }
+  EXPECT_TRUE(test::same_forest(f, g));
   EXPECT_EQ(forest_checksum(f), forest_checksum(g));
 }
 
@@ -130,6 +126,70 @@ TEST(IoErrors, LevelBeyondRepresentationRejected) {
   std::stringstream ss;
   save_forest(ss, f);
   EXPECT_THROW(load_forest<MortonRep<3>>(ss), std::invalid_argument);
+}
+
+/// Byte offsets in a saved stream: the fixed header (magic, version, dim,
+/// brick extents, periodic flags, pad, ranks, trees) is 36 bytes, then
+/// tree 0's leaf count (u64) and leaf 0's x, y, z (i64 each).
+constexpr std::size_t kTree0Count = 36;
+constexpr std::size_t kLeaf0X = kTree0Count + 8;
+constexpr std::size_t kLeaf0Z = kLeaf0X + 16;
+
+template <class T>
+void poke(std::string& blob, std::size_t offset, T value) {
+  std::memcpy(blob.data() + offset, &value, sizeof value);
+}
+
+template <class R>
+std::string saved_adaptive_forest() {
+  std::stringstream ss;
+  save_forest(ss, make_adaptive_forest<R>());
+  return ss.str();
+}
+
+TEST(IoErrors, MalformedLeafStreamRejected) {
+  const std::int64_t root = std::int64_t{1} << kCanonicalLevel;
+  const std::string blob3 = saved_adaptive_forest<MortonRep<3>>();
+  std::int64_t x0 = 0;
+  std::memcpy(&x0, blob3.data() + kLeaf0X, sizeof x0);
+  struct Case {
+    const char* what;
+    std::size_t offset;
+    std::int64_t value;
+  };
+  // Bit 0 of x is below MortonRep<3>'s grid: from_canonical would drop
+  // it and the stream would load with the original's checksum.
+  const Case cases[] = {
+      {"x below R's grid", kLeaf0X, x0 | 1},
+      {"x on R's grid but not aligned to the leaf level", kLeaf0X,
+       root >> 10},
+      {"x outside the tree", kLeaf0X, root},
+      {"negative x", kLeaf0X, -(root >> 3)},
+      {"leaf count beyond the stream", kTree0Count, std::int64_t{1} << 40},
+  };
+  for (const Case& c : cases) {
+    std::string blob = blob3;
+    poke(blob, c.offset, c.value);
+    std::istringstream in(blob);
+    EXPECT_THROW(load_forest<MortonRep<3>>(in), std::runtime_error) << c.what;
+  }
+  // Nonzero z in 2D, aligned to leaf 0's level (3) so only the 2D rule
+  // rejects it.
+  std::string blob2 = saved_adaptive_forest<StandardRep<2>>();
+  poke(blob2, kLeaf0Z, root >> 3);
+  std::istringstream in(blob2);
+  EXPECT_THROW(load_forest<StandardRep<2>>(in), std::runtime_error);
+}
+
+TEST(IoErrors, ByteReaderRejectsArrayCountBeyondBuffer) {
+  // An array header claiming 2^40 elements over an 8-byte payload must
+  // fail as truncated before anything is allocated for it.
+  io_detail::ByteWriter w;
+  w.write(std::uint64_t{1} << 40);
+  w.write(std::uint64_t{7});
+  const std::vector<std::uint8_t> bytes = std::move(w).take();
+  io_detail::ByteReader rd(bytes);
+  EXPECT_THROW((void)rd.read_array<std::uint64_t>(), std::runtime_error);
 }
 
 TEST(IoReplaceLeaves, RejectsWrongTreeCount) {

@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "par/communicator.hpp"
-#include "par/strong_scaling.hpp"
+#include "strong_scaling.hpp"
 #include "par/thread_pool.hpp"
 
 namespace qforest::par {

@@ -1,9 +1,10 @@
 /// \file test_read_paths.cpp
-/// \brief Batched-vs-scalar parity of the read-side consumer paths:
-/// ghost_layer (multi-rank, cross-tree, periodic wrap), mirrors (one-pass
-/// == per-rank recomputation), iterate_faces (hanging + boundary faces,
-/// unbalanced forests) and search_points (vs per-point search), on both
-/// dispatch paths and under tiny chunk grains that force many chunks.
+/// \brief Parity of the read-side consumer paths against the scalar
+/// references of tests/forest_oracle.hpp: ghost_layer and mirrors
+/// (multi-rank, cross-tree, periodic wrap; mirrors also == per-rank
+/// recomputation), iterate_faces (hanging + boundary faces, unbalanced
+/// forests) and search_points (vs per-point search), over both kernel
+/// dispatch settings and under tiny chunk grains that force many chunks.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,21 +17,14 @@
 
 #include "forest/forest.hpp"
 #include "forest/vforest.hpp"
+#include "forest_oracle.hpp"
 #include "helpers.hpp"
 #include "util/random.hpp"
 
 namespace qforest {
 namespace {
 
-/// Restores the process-global dispatch flag even when an ASSERT_ bails
-/// out of the test body.
-struct BatchFlagGuard {
-  explicit BatchFlagGuard(bool on) : saved_(batch::enabled()) {
-    batch::set_enabled(on);
-  }
-  ~BatchFlagGuard() { batch::set_enabled(saved_); }
-  bool saved_;
-};
+using test::BatchFlagGuard;
 
 /// Restores the chunk grain (tests shrink it to force many chunks).
 struct ChunkGrainGuard {
@@ -67,28 +61,26 @@ std::vector<std::vector<gidx_t>> ghost_sets(const Forest<R>& f) {
   return out;
 }
 
+/// Ghost sets and mirrors of every rank against the oracle, over both
+/// kernel dispatch settings.
 template <class R>
 void expect_ghost_parity(const Forest<R>& f) {
-  std::vector<std::vector<gidx_t>> scalar, batched;
-  {
-    const BatchFlagGuard guard(false);
-    scalar = ghost_sets(f);
+  std::vector<std::vector<gidx_t>> reference;
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    reference.push_back(oracle::ghost_set(f, r));
   }
-  {
-    const BatchFlagGuard guard(true);
-    batched = ghost_sets(f);
-  }
-  ASSERT_EQ(scalar.size(), batched.size());
-  for (std::size_t r = 0; r < scalar.size(); ++r) {
-    EXPECT_EQ(scalar[r], batched[r]) << R::name << " rank " << r;
+  for (const bool simd : {true, false}) {
+    const BatchFlagGuard guard(simd);
+    EXPECT_EQ(ghost_sets(f), reference) << R::name << " simd=" << simd;
+    for (int r = 0; r < f.num_ranks(); ++r) {
+      EXPECT_EQ(f.mirrors(r), oracle::mirrors(f, r))
+          << R::name << " simd=" << simd << " rank " << r;
+    }
   }
   // Tiny grain: every chunk boundary becomes a seam the batched scan must
   // handle (span staging, cursor seeding, bucket merging).
-  {
-    const BatchFlagGuard guard(true);
-    const ChunkGrainGuard grain(3);
-    EXPECT_EQ(ghost_sets(f), scalar) << R::name << " grain=3";
-  }
+  const ChunkGrainGuard grain(3);
+  EXPECT_EQ(ghost_sets(f), reference) << R::name << " grain=3";
 }
 
 using S2 = StandardRep<2>;
@@ -145,16 +137,16 @@ TEST(ReadPaths, MirrorsMatchPerRankRecomputation) {
   }
 }
 
-/// Order-independent face fingerprint: one canonical tuple per emission.
-template <class R>
-std::multiset<std::tuple<bool, bool, tree_id_t, std::size_t, int, tree_id_t,
-                         std::size_t, int>>
-face_fingerprint(const Forest<R>& f) {
-  std::multiset<std::tuple<bool, bool, tree_id_t, std::size_t, int,
-                           tree_id_t, std::size_t, int>>
-      out;
+using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
+                             tree_id_t, std::size_t, int>;
+
+/// Order-independent fingerprint of one face iteration \p iterate(cb):
+/// one canonical tuple per emission.
+template <class R, class Iterate>
+std::multiset<FaceTuple> face_fingerprint(Iterate&& iterate) {
+  std::multiset<FaceTuple> out;
   std::mutex mu;
-  f.iterate_faces([&](const FaceInfo<R>& info) {
+  iterate([&](const FaceInfo<R>& info) {
     const std::lock_guard<std::mutex> lock(mu);
     out.insert({info.is_boundary, info.is_hanging, info.tree[0],
                 info.leaf_index[0], info.face[0], info.tree[1],
@@ -165,15 +157,17 @@ face_fingerprint(const Forest<R>& f) {
 
 template <class R>
 void expect_iterate_parity(const Forest<R>& f) {
-  const BatchFlagGuard scalar_guard(false);
-  const auto scalar = face_fingerprint(f);
-  ASSERT_FALSE(scalar.empty());
-  {
-    const BatchFlagGuard guard(true);
-    EXPECT_EQ(face_fingerprint(f), scalar) << R::name;
-    const ChunkGrainGuard grain(2);
-    EXPECT_EQ(face_fingerprint(f), scalar) << R::name << " grain=2";
+  const auto batched = [&](const auto& cb) { f.iterate_faces(cb); };
+  const auto reference = face_fingerprint<R>(
+      [&](const auto& cb) { oracle::iterate_faces(f, cb); });
+  ASSERT_FALSE(reference.empty());
+  for (const bool simd : {true, false}) {
+    const BatchFlagGuard guard(simd);
+    EXPECT_EQ(face_fingerprint<R>(batched), reference)
+        << R::name << " simd=" << simd;
   }
+  const ChunkGrainGuard grain(2);
+  EXPECT_EQ(face_fingerprint<R>(batched), reference) << R::name << " grain=2";
 }
 
 TYPED_TEST(ReadPathsT, IterateFacesParityHangingAndBoundary) {
@@ -239,18 +233,15 @@ TYPED_TEST(ReadPathsT, SearchPointsMatchesPerPointScalar) {
       make_refined<R>(Connectivity::unit(R::dim), base, 1);
   Xoshiro256 rng(2024);
   const auto pts = random_points(rng, R::dim, f.num_trees(), 500);
-  std::vector<gidx_t> scalar, batched;
-  {
-    const BatchFlagGuard guard(false);
-    scalar = f.search_points(pts);
+  const std::vector<gidx_t> scalar = oracle::search_points(f, pts);
+  for (const bool simd : {true, false}) {
+    const BatchFlagGuard guard(simd);
+    EXPECT_EQ(f.search_points(pts), scalar) << R::name << " simd=" << simd;
   }
   {
-    const BatchFlagGuard guard(true);
-    batched = f.search_points(pts);
     const ChunkGrainGuard grain(7);
     EXPECT_EQ(f.search_points(pts), scalar) << R::name << " grain=7";
   }
-  EXPECT_EQ(batched, scalar) << R::name;
   // The resolved leaf must actually contain its point (half-open boxes).
   for (std::size_t i = 0; i < pts.size(); ++i) {
     const auto [t, li] = f.locate(scalar[i]);
@@ -270,13 +261,11 @@ TEST(ReadPaths, SearchPointsMultiTree) {
   const auto f = make_refined<S2>(Connectivity::brick2d(3, 2), 2, 1);
   Xoshiro256 rng(7);
   const auto pts = random_points(rng, 2, f.num_trees(), 400);
-  std::vector<gidx_t> scalar;
-  {
-    const BatchFlagGuard guard(false);
-    scalar = f.search_points(pts);
+  const std::vector<gidx_t> scalar = oracle::search_points(f, pts);
+  for (const bool simd : {true, false}) {
+    const BatchFlagGuard guard(simd);
+    EXPECT_EQ(f.search_points(pts), scalar) << "simd=" << simd;
   }
-  const BatchFlagGuard guard(true);
-  EXPECT_EQ(f.search_points(pts), scalar);
 }
 
 TEST(ReadPaths, SearchPointsRejectsOutOfDomain) {

@@ -65,7 +65,7 @@ def check_unnamed_raii(model: Model):
 
 
 # ---------------------------------------------------------------------------
-# mutable-static / atomic-ref-bool (AST-engine ports of lint_concurrency)
+# mutable-static / plain-bool-flag
 # ---------------------------------------------------------------------------
 
 # Token-joined declarations carry spaces around `::`; allow both spellings.
@@ -102,12 +102,53 @@ def check_mutable_static(model: Model):
                 "std::atomic / a mutex / thread_local, or make it const")
 
 
-def check_atomic_ref_bool(model: Model):
-    for file, line in model.atomic_ref_bools:
-        yield Finding(
-            file, line, "atomic-ref-bool",
-            "std::atomic_ref<bool> — vector<bool> elements are proxies and "
-            "bool storage invites it; use std::uint8_t storage")
+# ---------------------------------------------------------------------------
+# line-pattern rules (collected on comment-free code by the token engine)
+# ---------------------------------------------------------------------------
+
+LINE_RULE_MESSAGES = {
+    "atomic-ref-bool":
+        "std::atomic_ref<bool> — vector<bool> elements are proxies and "
+        "bool storage invites it; use std::uint8_t storage",
+    "volatile-sync":
+        "volatile integral used where synchronization is needed; use "
+        "std::atomic",
+    "detached-thread":
+        "detached thread in library code — join it (or hand it to the "
+        "pool / rank runtime) so shutdown stays deterministic",
+    "system-clock":
+        "std::chrono::system_clock — the wall clock is not monotonic; use "
+        "std::chrono::steady_clock for durations and timestamps",
+    "sleep-poll":
+        "sleep inside a loop — a sleep-poll retry loop; wait on a "
+        "condition variable (Mailbox::pop_blocking) or a task future "
+        "instead",
+}
+
+
+def _line_rule_check(rule):
+    def check(model: Model):
+        for hit in model.line_hits:
+            if hit.rule == rule:
+                yield Finding(hit.file, hit.line, rule,
+                              LINE_RULE_MESSAGES[rule])
+    return check
+
+
+# ---------------------------------------------------------------------------
+# stale-allow (runs after suppressions are applied; see qf_check.py)
+# ---------------------------------------------------------------------------
+
+def stale_allow_findings(model: Model, used):
+    """A suppression comment that suppressed nothing: the finding it once
+    covered is gone, and a stale exemption would hide the next one."""
+    for (file, line), (check, _reason) in sorted(model.suppressions.items()):
+        if (file, line) not in used:
+            yield Finding(
+                file, line, "stale-allow",
+                f"allow({check}) suppresses nothing on this line — the "
+                "finding is gone (or the check name is wrong); delete the "
+                "comment")
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +404,10 @@ ALL_CHECKS = {
     "mo-comment": check_mo_comment,
     "unnamed-raii": check_unnamed_raii,
     "mutable-static": check_mutable_static,
-    "atomic-ref-bool": check_atomic_ref_bool,
     "guarded-by": check_guarded_by,
     "blocking-while-locked": check_blocking_while_locked,
     "lock-order": check_lock_order,
+    **{rule: _line_rule_check(rule) for rule in LINE_RULE_MESSAGES},
 }
 
 # Suppression comments may name either the check or the finding label
@@ -376,8 +417,8 @@ CHECK_OF_LABEL = {
     "unnamed-raii": "unnamed-raii",
     "mutable-static": "mutable-static",
     "plain-bool-flag": "mutable-static",
-    "atomic-ref-bool": "atomic-ref-bool",
     "guarded-by": "guarded-by",
     "blocking-while-locked": "blocking-while-locked",
     "lock-order-cycle": "lock-order",
+    **{rule: rule for rule in LINE_RULE_MESSAGES},
 }

@@ -9,8 +9,8 @@ The AST gives this engine what tokens cannot have: real function
 boundaries (no heuristic header matching), lambda bodies attached to the
 right function, and member accesses resolved through the object's actual
 class. Line-level facts (memory-order comments, RAII temporaries, static
-declarations, suppressions) intentionally reuse the token collector so
-the two engines agree on those checks byte for byte.
+declarations, line-pattern rules, suppressions) intentionally reuse the
+token collector so the two engines agree on those checks byte for byte.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def build_model(paths, raii_types=cpp_model._DEFAULT_RAII_TYPES) -> Model:
     model.mo_sites = token_model.mo_sites
     model.raii_temps = token_model.raii_temps
     model.statics = token_model.statics
-    model.atomic_ref_bools = token_model.atomic_ref_bools
+    model.line_hits = token_model.line_hits
     model.suppressions = token_model.suppressions
 
     index = ci.Index.create()

@@ -55,6 +55,15 @@ class StaticDecl:
 
 
 @dataclasses.dataclass
+class LineHit:
+    """A line-pattern finding (atomic-ref-bool, volatile-sync,
+    detached-thread, system-clock, sleep-poll) on comment-free code."""
+    file: str
+    line: int
+    rule: str
+
+
+@dataclasses.dataclass
 class GuardedMember:
     """A class member declared QF_GUARDED_BY(guard)."""
     cls: str
@@ -119,7 +128,7 @@ class Model:
     mo_sites: list = dataclasses.field(default_factory=list)
     raii_temps: list = dataclasses.field(default_factory=list)
     statics: list = dataclasses.field(default_factory=list)
-    atomic_ref_bools: list = dataclasses.field(default_factory=list)
+    line_hits: list = dataclasses.field(default_factory=list)
     # every (cls, member) seen, guarded or not — used to recognize
     # same-named members of *unguarded* classes (name collisions)
     members: set = dataclasses.field(default_factory=set)
@@ -244,6 +253,19 @@ _SUPPRESS_RE = re.compile(
 
 _MO_RE = re.compile(r"\bmemory_order_(\w+)")
 
+# Single-line patterns, matched on code with comments and strings blanked.
+_LINE_RULES = {
+    "atomic-ref-bool": re.compile(r"std::atomic_ref\s*<\s*bool\s*>"),
+    "volatile-sync": re.compile(
+        r"\bvolatile\s+(?:std::)?(?:bool|int|unsigned|long|size_t"
+        r"|u?int\d+_t)\b"),
+    "detached-thread": re.compile(r"\.\s*detach\s*\(\s*\)"),
+    "system-clock": re.compile(r"std::chrono::system_clock\b"),
+}
+_SLEEP_RE = re.compile(r"\bsleep_(?:for|until)\s*\(")
+_LOOP_HEAD_RE = re.compile(r"\b(?:for|while)\s*\(|\bdo\s*(?:\{|$)")
+_DO_WHILE_TAIL_RE = re.compile(r"^\s*\}\s*while\s*\(")
+
 _DEFAULT_RAII_TYPES = ("TraceSpan", "LockGuard", "UniqueLock",
                        "ThreadRankScope", "lock_guard", "unique_lock",
                        "scoped_lock")
@@ -313,8 +335,45 @@ class TokenEngine:
                     file=fname, line=i, order=m.group(1),
                     justified=justified,
                     context=raw_lines[i - 1].strip()))
-            if re.search(r"std::atomic_ref\s*<\s*bool\s*>", cl):
-                self.model.atomic_ref_bools.append((fname, i))
+            for rule, pattern in _LINE_RULES.items():
+                if pattern.search(cl):
+                    self.model.line_hits.append(LineHit(fname, i, rule))
+        self._collect_sleep_polls(fname, code_lines)
+
+    def _collect_sleep_polls(self, fname, code_lines):
+        """sleep_for / sleep_until inside a loop body. Approximate loop
+        tracking: brace depth plus the depths at which loop bodies opened.
+        A `for`/`while`/`do` head arms `pending`; the next `{` (from the
+        head onward, so an earlier `if (...) {` on the same line is not
+        misattributed) turns it into a loop scope, and a braceless
+        single-statement body disarms it at the first statement-ending
+        line after the head. A do-while tail is not a loop head."""
+        depth = 0
+        loop_depths = []
+        pending = False
+        pending_line = 0
+        for i, cl in enumerate(code_lines, start=1):
+            m_loop = (None if _DO_WHILE_TAIL_RE.match(cl)
+                      else _LOOP_HEAD_RE.search(cl))
+            if _SLEEP_RE.search(cl) and (loop_depths or pending or m_loop):
+                self.model.line_hits.append(LineHit(fname, i, "sleep-poll"))
+            loop_pos = m_loop.start() if m_loop else None
+            for k, ch in enumerate(cl):
+                if loop_pos is not None and k >= loop_pos:
+                    pending, pending_line, loop_pos = True, i, None
+                if ch == "{":
+                    depth += 1
+                    if pending:
+                        loop_depths.append(depth)
+                        pending = False
+                elif ch == "}":
+                    if loop_depths and loop_depths[-1] == depth:
+                        loop_depths.pop()
+                    depth = max(0, depth - 1)
+            if loop_pos is not None:  # head after the last brace
+                pending, pending_line = True, i
+            if pending and i > pending_line and ";" in cl and "{" not in cl:
+                pending = False  # braceless body ended
 
     # -- token scan ----------------------------------------------------
 

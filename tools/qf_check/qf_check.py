@@ -14,9 +14,14 @@ Checks that Clang Thread Safety annotations cannot express:
                          transitively reachable while a lock is held
   lock-order             nested-acquisition graph (DOT via
                          --lock-order-dot); any cycle is an error
-  mutable-static         unsynchronized static — AST-engine port of the
-                         lint_concurrency.py rule
-  atomic-ref-bool        std::atomic_ref<bool> — port of the same
+  mutable-static         unsynchronized static (also plain-bool-flag)
+  atomic-ref-bool        std::atomic_ref<bool> over bool storage
+  volatile-sync          volatile integral used as a synchronization flag
+  detached-thread        `.detach()` on a thread
+  system-clock           std::chrono::system_clock (not monotonic)
+  sleep-poll             sleep_for / sleep_until inside a loop
+  stale-allow            a suppression comment that suppresses nothing
+                         (only when all checks run)
 
 Engines: `--engine tokens` (stdlib lexer, always available — the ctest
 default), `--engine libclang` (clang.cindex when importable — the CI
@@ -125,6 +130,9 @@ def main():
                 suppressed.append((f, sup[1]))
             else:
                 findings.append(f)
+    if args.checks == "all":
+        used = {(f.file, f.line) for f, _ in suppressed}
+        findings.extend(checks_mod.stale_allow_findings(model, used))
 
     findings.sort(key=lambda f: (f.file, f.line, f.check))
     for f in findings:

@@ -1,5 +1,5 @@
 // qf_check fixture: mutable-static / plain-bool-flag / atomic-ref-bool —
-// AST-engine ports of the lint_concurrency.py rules.
+// unsynchronized statics and atomic_ref over bool storage.
 
 #include <atomic>
 #include <cstdint>
