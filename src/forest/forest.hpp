@@ -498,6 +498,15 @@ class Forest {
   /// The scalar per-quadrant reference (one neighbor_at_offset + binary
   /// search per (leaf, offset) pair) lives in tests/forest_oracle.hpp.
   ///
+  /// The fixpoint is a worklist. Iteration 1 stages every leaf; iteration
+  /// k+1 stages only the children iteration k's apply created and the
+  /// leaves whose keys marked a split in iteration k. That is exact
+  /// because balance only ever splits: every key of an unchanged leaf that
+  /// marked nothing still resolves to the same leaf, to a finer child of
+  /// it, or to no leaf at all, none of which violates 2:1. A leaf that did
+  /// mark is re-checked, since its enclosure became only one level finer
+  /// and a jump of three or more levels still violates.
+  ///
   /// An already-balanced forest is a no-op: no split, no leaf-array
   /// rebuild, no repartition.
   void balance(BalanceKind kind = BalanceKind::kFull) {
@@ -506,13 +515,19 @@ class Forest {
     std::int64_t iterations = 0;
     bool any_changed = false;
     bool changed = true;
-    // Split bitmaps, grids and the dirty list are hoisted out of the
-    // fixpoint loop so later iterations reuse the heap buffers (and the
-    // grids of unchanged trees) instead of rebuilding them.
+    // Split bitmaps, the worklist, grids and the dirty list are hoisted
+    // out of the fixpoint loop so later iterations reuse the heap buffers
+    // (and the grids of unchanged trees) instead of rebuilding them.
+    // recheck[t][i] on entry to mark_splits: stage leaf i of tree t; on
+    // exit: its keys marked a split (the next iteration's worklist).
     std::vector<std::vector<std::uint8_t>> split(trees_.size());
+    std::vector<std::vector<std::uint8_t>> recheck(trees_.size());
     std::vector<std::size_t> dirty;
     std::vector<MarkGrid> grids(trees_.size());
     std::vector<std::uint8_t> grid_valid(trees_.size(), 0);
+    for (std::size_t t = 0; t < trees_.size(); ++t) {
+      recheck[t].assign(trees_[t].size(), 1);
+    }
     adapt_guard([&] {
       while (changed) {
         c_iterations.add(1);
@@ -520,7 +535,7 @@ class Forest {
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           split[t].assign(trees_[t].size(), 0);
         }
-        mark_splits(kind, split, grids, grid_valid);
+        mark_splits(kind, recheck, split, grids, grid_valid);
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           if (std::find(split[t].begin(), split[t].end(), 1) !=
@@ -530,10 +545,13 @@ class Forest {
         }
         changed = !dirty.empty();
         any_changed |= changed;
+        // The split carries each tree's worklist bytes through and flags
+        // the fresh children; unsplit trees keep theirs as they are.
         parallel_over(dirty.size(), [&](std::size_t d) {
           const std::size_t t = dirty[d];
           apply_splits(trees_[t],
-                       payload_enabled_ ? &payloads_[t] : nullptr, split[t]);
+                       payload_enabled_ ? &payloads_[t] : nullptr, split[t],
+                       nullptr, &recheck[t]);
         });
         for (const std::size_t t : dirty) {
           grid_valid[t] = 0;  // leaves changed: the grid ranges are stale
@@ -644,9 +662,12 @@ class Forest {
   /// tree resolve against a per-tree Morton-cell grid (MarkGrid) and keys
   /// crossing a tree face are bucketed per target tree and resolved with one
   /// sort + sorted-merge sweep — the read-side twin of the balance mark phase.
-  /// Trees and leaf chunks run in parallel on the forest pool. The parity
-  /// reference (one neighbor_at_offset + binary search per (leaf, offset) pair)
-  /// is oracle::ghost_set in tests/forest_oracle.hpp.
+  /// Trees and leaf chunks run in parallel on the forest pool. Keys whose
+  /// every touchable leaf is the rank's own are dropped before any lookup
+  /// (the owned-block early-out, see adjacency_scan), so the cost follows
+  /// the rank boundary rather than its volume. The parity reference (one
+  /// neighbor_at_offset + binary search per (leaf, offset) pair) is
+  /// oracle::ghost_set in tests/forest_oracle.hpp.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
     GhostLayer<R> ghost;
     const auto [first, last] = rank_range(rank);
@@ -1236,11 +1257,14 @@ class Forest {
   /// every chunk stages, produces and stitches its slice independently.
   /// When \p fresh is non-null it receives the ascending output indices
   /// of all newly created children (the set a recursive refine wave
-  /// re-examines).
+  /// re-examines). When \p flags is non-null, its per-leaf bytes are
+  /// carried through the split: an unsplit leaf keeps its byte and the
+  /// children of a split leaf get 1 (the balance worklist).
   static void apply_splits(std::vector<quad_t>& leaves,
                            std::vector<std::uint64_t>* pay,
                            const std::vector<std::uint8_t>& split,
-                           std::vector<std::size_t>* fresh = nullptr) {
+                           std::vector<std::size_t>* fresh = nullptr,
+                           std::vector<std::uint8_t>* flags = nullptr) {
     constexpr int nc = dims::num_children;
     const std::size_t n = leaves.size();
     const std::size_t grain = chunk_grain();
@@ -1275,6 +1299,7 @@ class Forest {
         n + total_split * static_cast<std::size_t>(nc - 1);
     std::vector<quad_t> out(out_n);
     std::vector<std::uint64_t> outp(pay ? out_n : 0);
+    std::vector<std::uint8_t> outf(flags ? out_n : 0);
     if (fresh) {
       fresh->assign(total_split * static_cast<std::size_t>(nc), 0);
     }
@@ -1311,6 +1336,9 @@ class Forest {
           if (pay) {
             outp[o] = (*pay)[i];
           }
+          if (flags) {
+            outf[o] = (*flags)[i];
+          }
           ++o;
           continue;
         }
@@ -1325,6 +1353,9 @@ class Forest {
           if (fresh) {
             (*fresh)[f++] = o;
           }
+          if (flags) {
+            outf[o] = 1;
+          }
           ++o;
         }
       }
@@ -1332,6 +1363,9 @@ class Forest {
     leaves = std::move(out);
     if (pay) {
       *pay = std::move(outp);
+    }
+    if (flags) {
+      *flags = std::move(outf);
     }
   }
 
@@ -1841,7 +1875,20 @@ class Forest {
     std::vector<std::size_t> end;
   };
 
-  /// Batched mark phase, three tree-parallel (and within each tree
+  /// One cross-tree candidate of the balance mark phase: the same-level
+  /// neighbor key re-encoded in the target tree's frame, and the source
+  /// leaf (tree, index) that emitted it — flagged in the worklist when
+  /// the key marks a split.
+  struct MarkKey {
+    quad_t key;
+    tree_id_t tree;
+    std::size_t index;
+  };
+
+  /// Batched mark phase over the worklist \p recheck: only leaves whose
+  /// byte is set emit keys, staging clears the byte, and a leaf whose key
+  /// marks a split gets it set again — on return \p recheck holds the
+  /// leaves that marked. Three tree-parallel (and within each tree
   /// chunk-parallel) passes:
   ///   1. index: build each tree's Morton-cell MarkGrid — only for trees
   ///      whose leaves changed since the grid was last built (the balance
@@ -1858,9 +1905,10 @@ class Forest {
   ///      resolves it with a sorted-merge sweep, itself cut into key
   ///      chunks that each start from one binary search.
   void mark_splits(BalanceKind kind,
-                           std::vector<std::vector<std::uint8_t>>& split,
-                           std::vector<MarkGrid>& grids,
-                           std::vector<std::uint8_t>& grid_valid) const {
+                   std::vector<std::vector<std::uint8_t>>& recheck,
+                   std::vector<std::vector<std::uint8_t>>& split,
+                   std::vector<MarkGrid>& grids,
+                   std::vector<std::uint8_t>& grid_valid) const {
     const std::size_t nt = trees_.size();
     parallel_over(nt, [&](std::size_t ti) {
       if (!grid_valid[ti]) {
@@ -1868,16 +1916,24 @@ class Forest {
         grid_valid[ti] = 1;
       }
     });
-    std::vector<std::vector<Bucket<quad_t>>> cand(nt);
+    std::vector<std::vector<Bucket<MarkKey>>> cand(nt);
     parallel_over(nt, [&](std::size_t ti) {
       produce_and_mark_local(static_cast<tree_id_t>(ti), kind, grids[ti],
-                             split[ti], cand[ti]);
+                             recheck[ti], split[ti], cand[ti]);
     });
     for_each_target(
-        cand, [](const quad_t& q) -> const quad_t& { return q; },
-        [&](std::size_t ti, const std::vector<quad_t>& keys) {
-          mark_enclosing_merge(ti, keys, split[ti]);
+        cand, [](const MarkKey& k) -> const quad_t& { return k.key; },
+        [&](std::size_t ti, const std::vector<MarkKey>& keys) {
+          mark_enclosing_merge(ti, keys, split[ti], recheck);
         });
+  }
+
+  /// Set an idempotent mark byte (a split bitmap or worklist entry) that
+  /// concurrent workers may set too.
+  static void set_mark(std::uint8_t& byte) {
+    // mo: relaxed — idempotent mark byte; readers run after the marking
+    // region joins.
+    std::atomic_ref<std::uint8_t>(byte).store(1, std::memory_order_relaxed);
   }
 
   /// Build tree \p ti's MarkGrid. The grid level is chosen so cells hold
@@ -1955,41 +2011,58 @@ class Forest {
     }
   }
 
-  /// Phase 2 worker: stage tree \p t's leaves into level-uniform spans
-  /// (leaves of level < 2 emit nothing — their neighbors can never be two
-  /// levels coarser) and emit every neighbor-offset key in bulk. The
-  /// tree's leaf array is cut into chunks; each chunk stages its own
-  /// leaves and processes its own spans. Keys staying inside the tree
-  /// resolve against the (shared, read-only) MarkGrid on the spot with
-  /// relaxed atomic split marks; keys crossing a tree face are wrapped
-  /// into the neighbor tree's frame and bucketed per chunk, merged into
-  /// \p out afterwards. Keys leaving the physical domain are dropped. A
-  /// periodic wrap back into the source tree counts as local (target ==
-  /// t) and also resolves here.
+  /// Phase 2 worker: stage tree \p t's worklist leaves (\p recheck set,
+  /// cleared as they are staged) into level-uniform spans (leaves of
+  /// level < 2 emit nothing — their neighbors can never be two levels
+  /// coarser) and emit every neighbor-offset key in bulk. The tree's leaf
+  /// array is cut into chunks; each chunk stages its own leaves and
+  /// processes its own spans. Keys staying inside the tree resolve
+  /// against the (shared, read-only) MarkGrid on the spot with relaxed
+  /// atomic split marks, and a key that marks sets its source leaf's
+  /// \p recheck byte again (a plain store: the source belongs to this
+  /// chunk alone); keys crossing a tree face are wrapped into the
+  /// neighbor tree's frame and bucketed per chunk with their source,
+  /// merged into \p out afterwards. Keys leaving the
+  /// physical domain are dropped. A periodic wrap back into the source
+  /// tree counts as local (target == t) and also resolves here.
   void produce_and_mark_local(tree_id_t t, BalanceKind kind,
                               const MarkGrid& grid,
+                              std::vector<std::uint8_t>& recheck,
                               std::vector<std::uint8_t>& split,
-                              std::vector<Bucket<quad_t>>& out) const {
+                              std::vector<Bucket<MarkKey>>& out) const {
+    static obs::Counter& c_staged =
+        obs::counter("forest.balance.staged_leaves");
     const auto ti = static_cast<std::size_t>(t);
     const auto& tree = trees_[ti];
     const std::size_t grain = chunk_grain();
-    std::vector<std::vector<Bucket<quad_t>>> chunk_out(
+    std::vector<std::vector<Bucket<MarkKey>>> chunk_out(
         batch::chunk_count(tree.size(), grain));
     parallel_chunks(tree.size(), grain,
                     [&](std::size_t c, std::size_t cb, std::size_t ce) {
       auto& mine = chunk_out[c];
-      SpanStage<R> staged;
+      IndexedSpanStage<R> staged;
+      std::size_t nstaged = 0;
       for (std::size_t i = cb; i < ce; ++i) {
+        if (recheck[i] == 0) {
+          continue;
+        }
+        recheck[i] = 0;
         if (R::level(tree[i]) >= 2) {
-          staged.add(tree[i]);
+          staged.add(tree[i], i);
+          ++nstaged;
         }
       }
+      if (nstaged == 0) {
+        return;
+      }
+      c_staged.add(nstaged);
       std::vector<std::int64_t> ox, oy, oz;
       for (std::size_t l = 2; l < staged.num_levels(); ++l) {
         const auto& span = staged.span(l);
         if (span.empty()) {
           continue;
         }
+        const auto& src = staged.sources(l);
         ox.resize(span.size());
         oy.resize(span.size());
         oz.resize(span.size());
@@ -2008,9 +2081,12 @@ class Forest {
             const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
                                        static_cast<int>(l)};
             if (target == t) {
-              resolve_mark(ti, grid, nc, split);
+              if (resolve_mark(ti, grid, nc, split)) {
+                recheck[src[i]] = 1;
+              }
             } else {
-              bucket_for(mine, target).push_back(from_canonical<R>(nc));
+              bucket_for(mine, target)
+                  .push_back(MarkKey{from_canonical<R>(nc), t, src[i]});
             }
           }
         });
@@ -2054,49 +2130,47 @@ class Forest {
 
   /// Resolve one candidate key against tree \p ti via its MarkGrid and
   /// mark the enclosing leaf when it is two or more levels coarser than
-  /// the key (a 2:1 violation). The mark is a relaxed atomic store:
-  /// concurrent chunk workers of one tree may mark the same leaf, and
-  /// all stores write the same value (the bitmap is only read after the
-  /// parallel region completes).
-  void resolve_mark(std::size_t ti, const MarkGrid& g,
+  /// the key (a 2:1 violation); returns whether it marked. The mark is a
+  /// relaxed atomic store (set_mark): concurrent chunk workers of one
+  /// tree may mark the same leaf.
+  bool resolve_mark(std::size_t ti, const MarkGrid& g,
                     const CanonicalQuadrant& nc,
                     std::vector<std::uint8_t>& split) const {
     const auto enclosing = resolve_enclosing_grid(ti, g, nc);
-    if (!enclosing.has_value()) {
-      return;
+    if (!enclosing.has_value() ||
+        R::level(trees_[ti][*enclosing]) >= nc.level - 1) {
+      return false;
     }
-    if (R::level(trees_[ti][*enclosing]) < nc.level - 1) {
-      // mo: relaxed — idempotent mark byte; readers run after the
-      // marking region joins.
-      std::atomic_ref<std::uint8_t>(split[*enclosing])
-          .store(1, std::memory_order_relaxed);
-    }
+    set_mark(split[*enclosing]);
+    return true;
   }
 
   /// Phase 3 worker: resolve one target tree's curve-sorted cross-tree
   /// keys with a merge_sweep instead of one find_enclosing_leaf each. The
   /// enclosing leaf is marked when it is two or more levels coarser than
-  /// the key (a 2:1 violation), via relaxed atomic stores (adjacent key
-  /// chunks can resolve to the same leaf); keys whose region is covered
-  /// by finer leaves have no enclosure and mark nothing.
-  void mark_enclosing_merge(std::size_t ti, const std::vector<quad_t>& keys,
-                            std::vector<std::uint8_t>& split) const {
+  /// the key (a 2:1 violation), and the key's source leaf is flagged in
+  /// the worklist \p recheck, both via relaxed atomic stores (adjacent
+  /// key chunks can resolve to the same leaf, and other target trees'
+  /// workers can flag the same source); keys whose region is covered by
+  /// finer leaves have no enclosure and mark nothing.
+  void mark_enclosing_merge(std::size_t ti, const std::vector<MarkKey>& keys,
+                            std::vector<std::uint8_t>& split,
+                            std::vector<std::vector<std::uint8_t>>& recheck)
+      const {
     const auto& tree = trees_[ti];
     merge_sweep(
         ti, keys, chunk_grain(),
-        [](const quad_t& q) -> const quad_t& { return q; },
+        [](const MarkKey& k) -> const quad_t& { return k.key; },
         [&](std::size_t, std::size_t kk, std::ptrdiff_t j) {
           if (j < 0) {
             return;
           }
-          const quad_t& key = keys[kk];
+          const MarkKey& mk = keys[kk];
           const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-          if (R::level(leaf) < R::level(key) - 1 &&
-              (R::equal(leaf, key) || R::is_ancestor(leaf, key))) {
-            // mo: relaxed — idempotent mark byte; readers run after the
-            // marking region joins.
-            std::atomic_ref<std::uint8_t>(split[static_cast<std::size_t>(j)])
-                .store(1, std::memory_order_relaxed);
+          if (R::level(leaf) < R::level(mk.key) - 1 &&
+              (R::equal(leaf, mk.key) || R::is_ancestor(leaf, mk.key))) {
+            set_mark(split[static_cast<std::size_t>(j)]);
+            set_mark(recheck[static_cast<std::size_t>(mk.tree)][mk.index]);
           }
         });
   }
@@ -2135,6 +2209,16 @@ class Forest {
   /// The reference domain needed by the finer-run touch filter comes for
   /// free: in the target frame it is the wrapped key position minus the
   /// offset displacement (the wrap translation cancels axis by axis).
+  ///
+  /// Owned-block early-out: both modes emit only when a touched leaf lies
+  /// outside [first, last). Every leaf a local key's lookup can report
+  /// intersects the key's domain and so lies in its grid_block range;
+  /// when that range is inside the rank's subrange [a, b) of the tree the
+  /// key cannot emit and is dropped before any re-encoding or search.
+  /// Likewise a cross-tree key whose whole target tree lies inside
+  /// [first, last) is dropped before bucketing. forest.scan.owned_skips
+  /// counts both; forest.scan.local_keys / merge_keys still count every
+  /// produced key.
   [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
                                                    bool sources) const {
     obs::TraceSpan span("forest", "adjacency_scan");
@@ -2153,6 +2237,7 @@ class Forest {
     const std::size_t grain = chunk_grain();
     static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
     static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
+    static obs::Counter& c_skips = obs::counter("forest.scan.owned_skips");
     std::vector<std::vector<gidx_t>> tree_seen(nscan);
     std::vector<std::vector<Bucket<GhostKey>>> buckets(nscan);
     parallel_over(nscan, [&, t0 = t0, t1 = t1, i0 = i0,
@@ -2173,6 +2258,7 @@ class Forest {
         auto& my_buckets = chunk_buckets[c];
         std::size_t local_keys = 0;
         std::size_t merge_keys = 0;
+        std::size_t owned_skips = 0;
         IndexedSpanStage<R> staged;
         for (std::size_t i = cb; i < ce; ++i) {
           staged.add(tree[a + i], a + i);
@@ -2207,11 +2293,16 @@ class Forest {
               const CanonicalQuadrant ref{pos[0] - dx * h, pos[1] - dy * h,
                                           pos[2] - dz * h,
                                           static_cast<int>(l)};
-              const gidx_t src_g = global_index(t, src[i]);
               if (target == t) {
                 ++local_keys;
+                const auto block = grid_block(grid, nc);
+                if (block.first >= a && block.second <= b) {
+                  ++owned_skips;  // every touchable leaf is the rank's own
+                  continue;
+                }
+                const gidx_t src_g = global_index(t, src[i]);
                 resolve_touching_local(
-                    ti, grid, nc, ref, [&](std::size_t leaf_idx) {
+                    ti, block, nc, ref, [&](std::size_t leaf_idx) {
                       const gidx_t lg = global_index(t, leaf_idx);
                       if (lg < first || lg >= last) {
                         my_seen.push_back(sources ? src_g : lg);
@@ -2219,8 +2310,15 @@ class Forest {
                     });
               } else {
                 ++merge_keys;
+                const auto ut = static_cast<std::size_t>(target);
+                if (tree_offsets_[ut] >= first &&
+                    tree_offsets_[ut + 1] <= last) {
+                  ++owned_skips;  // the whole target tree is the rank's own
+                  continue;
+                }
                 bucket_for(my_buckets, target)
-                    .push_back(GhostKey{from_canonical<R>(nc), ref, src_g});
+                    .push_back(GhostKey{from_canonical<R>(nc), ref,
+                                        global_index(t, src[i])});
               }
             }
           });
@@ -2230,6 +2328,9 @@ class Forest {
         }
         if (merge_keys > 0) {
           c_merge.add(merge_keys);
+        }
+        if (owned_skips > 0) {
+          c_skips.add(owned_skips);
         }
       });
       auto& ts = tree_seen[k];
@@ -2265,9 +2366,24 @@ class Forest {
     return seen;
   }
 
+  /// The leaf range [begin[c0], end[c1]) of the aligned MarkGrid cell
+  /// block [c0, c1] covered by key \p nc: a superset of the leaves that
+  /// intersect (and hence may touch) the key's domain. Empty (lo >= hi)
+  /// only for an incomplete tree.
+  static std::pair<std::size_t, std::size_t> grid_block(
+      const MarkGrid& g, const CanonicalQuadrant& nc) {
+    const int shift = kCanonicalLevel - g.level;
+    const std::uint64_t c0 =
+        cell_morton(g, nc.x >> shift, nc.y >> shift, nc.z >> shift);
+    std::uint64_t c1 = c0;
+    if (nc.level < g.level) {
+      c1 = c0 + (std::uint64_t{1} << (dim * (g.level - nc.level))) - 1;
+    }
+    return {g.begin[c0], g.end[c1]};
+  }
+
   /// Grid-accelerated touching-leaf lookup for a key staying in its
-  /// source tree. The aligned cell block covered by the
-  /// key maps to the contiguous leaf range [begin[c0], end[c1]) — the
+  /// source tree, over the key's grid_block leaf range [lo, hi) — the
   /// leaves intersecting the key's domain: the range-local upper_bound
   /// finds the enclosing leaf if one exists (emitted unconditionally: an
   /// enclosing leaf always touches the reference, which is adjacent to
@@ -2276,21 +2392,15 @@ class Forest {
   /// canonical touch test. (Excluding the reference leaf itself, which a
   /// periodic wrap can land on, is vacuous here: finer-run leaves are
   /// strictly finer than the same-level reference, so they can never
-  /// equal it.)
+  /// equal it.) Every emitted leaf lies in [lo, hi), which is what lets
+  /// adjacency_scan skip a key whose block is the rank's own.
   template <class Fn>
-  void resolve_touching_local(std::size_t ti, const MarkGrid& g,
+  void resolve_touching_local(std::size_t ti,
+                              std::pair<std::size_t, std::size_t> block,
                               const CanonicalQuadrant& nc,
                               const CanonicalQuadrant& ref, Fn&& fn) const {
     const auto& tree = trees_[ti];
-    const int shift = kCanonicalLevel - g.level;
-    const std::uint64_t c0 =
-        cell_morton(g, nc.x >> shift, nc.y >> shift, nc.z >> shift);
-    std::uint64_t c1 = c0;
-    if (nc.level < g.level) {
-      c1 = c0 + (std::uint64_t{1} << (dim * (g.level - nc.level))) - 1;
-    }
-    const std::size_t lo = g.begin[c0];
-    const std::size_t hi = g.end[c1];
+    const auto [lo, hi] = block;
     if (lo >= hi) {
       return;  // defensive: a complete tree always intersects the block
     }

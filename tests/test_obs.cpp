@@ -252,6 +252,93 @@ TEST(ObsForest, CoarsenFamilyDecisionsMatchGroundTruth) {
   EXPECT_EQ(rejected.value() - rejected0, 4u);
 }
 
+TEST(ObsForest, BalancedForestStagesItsLevelTwoLeavesOnce) {
+  const MetricsOn on;
+  obs::Counter& staged = obs::counter("forest.balance.staged_leaves");
+  obs::Counter& iterations = obs::counter("forest.balance.iterations");
+
+  // Uniform L1 with one child refined: 3 L1 + 4 L2 leaves, already
+  // balanced. One full sweep stages exactly the four L2 leaves (level < 2
+  // never emits) and finds nothing to split.
+  auto f = Forest<R2>::new_uniform(Connectivity::unit(2), 1);
+  f.refine(false, [](tree_id_t, const R2::quad_t& q) {
+    return R2::level_index(q) == 0;
+  });
+  ASSERT_EQ(f.num_quadrants(), 7);
+  const std::uint64_t staged0 = staged.value();
+  const std::uint64_t iterations0 = iterations.value();
+  f.balance(BalanceKind::kFull);
+  EXPECT_EQ(f.num_quadrants(), 7);
+  EXPECT_EQ(iterations.value() - iterations0, 1u);
+  EXPECT_EQ(staged.value() - staged0, 4u);
+}
+
+TEST(ObsForest, BalanceCascadeStagesOnlyTheWorklist) {
+  const MetricsOn on;
+  obs::Counter& staged = obs::counter("forest.balance.staged_leaves");
+  obs::Counter& iterations = obs::counter("forest.balance.iterations");
+
+  // A chain refined to L7 against the center of a uniform L3 mesh (each
+  // refined leaf has its upper corner at the center), so L7 leaves face
+  // L3 leaves across it: the 2:1 ripple takes several iterations, and
+  // after the first full sweep only fresh children and marking sources
+  // are staged again.
+  auto f = Forest<R2>::new_uniform(Connectivity::unit(2), 3);
+  f.refine(true, [](tree_id_t, const R2::quad_t& q) {
+    const CanonicalQuadrant c = to_canonical<R2>(q);
+    const std::int64_t half = std::int64_t{1} << (kCanonicalLevel - 1);
+    const std::int64_t h = std::int64_t{1} << (kCanonicalLevel - c.level);
+    return c.level < 7 && c.x + h == half && c.y + h == half;
+  });
+  const auto leaves0 = static_cast<std::uint64_t>(f.num_quadrants());
+  const std::uint64_t staged0 = staged.value();
+  const std::uint64_t iterations0 = iterations.value();
+  f.balance(BalanceKind::kFull);
+  ASSERT_TRUE(f.is_balanced(BalanceKind::kFull));
+  const std::uint64_t iters = iterations.value() - iterations0;
+  const std::uint64_t leaves = static_cast<std::uint64_t>(f.num_quadrants());
+  EXPECT_GE(iters, 3u);
+  EXPECT_GT(leaves, leaves0);
+  // The first sweep stages every leaf of the unbalanced mesh (all are at
+  // level >= 2); re-sweeping everything each iteration would cost more
+  // than iterations x the starting leaf count.
+  EXPECT_GT(staged.value() - staged0, leaves0);
+  EXPECT_LT(staged.value() - staged0, iters * leaves0);
+}
+
+TEST(ObsForest, OneRankGhostScanSkipsEveryKey) {
+  const MetricsOn on;
+  obs::Counter& local = obs::counter("forest.scan.local_keys");
+  obs::Counter& merge = obs::counter("forest.scan.merge_keys");
+  obs::Counter& skips = obs::counter("forest.scan.owned_skips");
+
+  // One rank owns every leaf: no key can reach a remote leaf, so every
+  // produced key is dropped by the owned-block test before any lookup.
+  auto f = Forest<R2>::new_uniform(Connectivity::unit(2), 3);
+  f.refine(false, [](tree_id_t, const R2::quad_t& q) {
+    return R2::level_index(q) % 3 == 0;
+  });
+  std::uint64_t local0 = local.value();
+  std::uint64_t merge0 = merge.value();
+  std::uint64_t skips0 = skips.value();
+  EXPECT_TRUE(f.ghost_layer(0).entries.empty());
+  EXPECT_TRUE(f.mirrors(0).empty());
+  EXPECT_GT(local.value() - local0, 0u);
+  EXPECT_EQ(merge.value() - merge0, 0u);
+  EXPECT_EQ(skips.value() - skips0, local.value() - local0);
+
+  // On a brick the cross-tree keys are dropped too: every target tree
+  // lies wholly inside the one rank's range.
+  auto g = Forest<R2>::new_uniform(Connectivity::brick2d(2, 2), 2);
+  local0 = local.value();
+  merge0 = merge.value();
+  skips0 = skips.value();
+  EXPECT_TRUE(g.ghost_layer(0).entries.empty());
+  EXPECT_GT(merge.value() - merge0, 0u);
+  EXPECT_EQ(skips.value() - skips0,
+            (local.value() - local0) + (merge.value() - merge0));
+}
+
 TEST(ObsPar, MessageCountersMatchGroundTruth) {
   const MetricsOn on;
   obs::Counter& sends = obs::counter("par.msg.sends");

@@ -2,7 +2,9 @@
 /// \brief Parity of the read-side consumer paths against the scalar
 /// references of tests/forest_oracle.hpp: ghost_layer and mirrors
 /// (multi-rank, cross-tree, periodic wrap; mirrors also == per-rank
-/// recomputation), iterate_faces (hanging + boundary faces, unbalanced
+/// recomputation; the owned-block early-out's edge cases: rank cuts on
+/// and one leaf off tree boundaries, ranks owning whole trees, one-leaf
+/// ranks, periodic wrap), iterate_faces (hanging + boundary faces, unbalanced
 /// forests) and search_points (vs per-point search), over both kernel
 /// dispatch settings and under tiny chunk grains that force many chunks.
 
@@ -81,6 +83,10 @@ void expect_ghost_parity(const Forest<R>& f) {
   // handle (span staging, cursor seeding, bucket merging).
   const ChunkGrainGuard grain(3);
   EXPECT_EQ(ghost_sets(f), reference) << R::name << " grain=3";
+  for (int r = 0; r < f.num_ranks(); ++r) {
+    EXPECT_EQ(f.mirrors(r), oracle::mirrors(f, r))
+        << R::name << " grain=3 rank " << r;
+  }
 }
 
 using S2 = StandardRep<2>;
@@ -135,6 +141,97 @@ TEST(ReadPaths, MirrorsMatchPerRankRecomputation) {
     EXPECT_EQ(got, std::vector<gidx_t>(expected.begin(), expected.end()))
         << "rank " << r;
   }
+}
+
+// ---- owned-block early-out edge cases: the scan drops a key when every
+// leaf it can touch is the rank's own, so rank cuts that sit on tree
+// boundaries or one leaf off them, ranks owning whole trees, one-leaf
+// ranks and periodic wraps into the source tree must still match the
+// oracle exactly.
+
+/// Repartition \p f over cuts.size() + 1 ranks whose ranges start at the
+/// given ascending global indices (rank 0 at 0), through
+/// partition_weighted with skewed weights: every rank gets the same total
+/// weight L (the largest rank's leaf count), its first leaf weighing L
+/// minus the rest and every other leaf 1, so the cumulative weight before
+/// cut r is exactly r * L and partition_weighted's r/p cut lands on it.
+template <class R>
+void partition_at(Forest<R>& f, const std::vector<gidx_t>& cuts) {
+  std::vector<gidx_t> starts = {0};
+  starts.insert(starts.end(), cuts.begin(), cuts.end());
+  starts.push_back(f.num_quadrants());
+  std::int64_t heaviest = 1;
+  for (std::size_t r = 0; r + 1 < starts.size(); ++r) {
+    heaviest = std::max<std::int64_t>(heaviest, starts[r + 1] - starts[r]);
+  }
+  f.set_num_ranks(static_cast<int>(starts.size()) - 1);
+  f.partition_weighted([&](tree_id_t t, const typename R::quad_t& q) {
+    const auto& tree = f.tree_quadrants(t);
+    const gidx_t g = f.global_index(
+        t, static_cast<std::size_t>(
+               std::lower_bound(tree.begin(), tree.end(), q, RepLess<R>{}) -
+               tree.begin()));
+    const auto next = std::upper_bound(starts.begin(), starts.end(), g);
+    if (*(next - 1) != g) {
+      return std::int64_t{1};
+    }
+    return heaviest - (*next - g - 1);
+  });
+  for (std::size_t r = 0; r + 1 < starts.size(); ++r) {
+    ASSERT_EQ(f.rank_range(static_cast<int>(r)),
+              std::make_pair(starts[r], starts[r + 1]))
+        << R::name << " rank " << r;
+  }
+}
+
+template <class R>
+void expect_owned_block_edge_cases() {
+  const auto brick = R::dim == 2 ? Connectivity::brick2d(2, 2)
+                                 : Connectivity::brick3d(2, 2, 1);
+  const int base = R::dim == 2 ? 2 : 1;
+  auto f = make_refined<R>(brick, base, 1);
+  const auto start = [&](tree_id_t t) { return f.global_index(t, 0); };
+  // One rank per tree: every cut falls exactly on a tree start and on the
+  // previous tree's end.
+  partition_at(f, {start(1), start(2), start(3)});
+  expect_ghost_parity(f);
+  // The middle rank owns trees 1 and 2 whole plus a tail and a head, so
+  // its keys into trees 1 and 2 are dropped before bucketing.
+  partition_at(f, {start(1) - 3, start(3) + 2});
+  expect_ghost_parity(f);
+  // A rank of a single leaf, one leaf after a tree start.
+  partition_at(f, {start(2) + 1, start(2) + 2});
+  expect_ghost_parity(f);
+
+  // Periodic in x: tree 1's last leaf touches tree 0 across the wrap,
+  // and tree 0's first leaf touches tree 1. The middle rank misses
+  // exactly those two leaves, so neither tree is wholly its own.
+  const auto periodic_x = R::dim == 2
+                              ? Connectivity::brick2d(2, 1, true, false)
+                              : Connectivity::brick3d(2, 1, 1, true);
+  auto g = make_refined<R>(periodic_x, base + 1, 1);
+  partition_at(g, {1, g.num_quadrants() - 1});
+  expect_ghost_parity(g);
+
+  // Fully periodic single tree: wrapped keys land back in the source
+  // tree, whose grid blocks straddle the rank cuts on the far side.
+  const auto periodic =
+      R::dim == 2 ? Connectivity::brick2d(1, 1, true, true)
+                  : Connectivity::brick3d(1, 1, 1, true, true, true);
+  auto h = make_refined<R>(periodic, base + 1, 1);
+  const gidx_t n = h.num_quadrants();
+  partition_at(h, {n / 3, n / 3 + 1});
+  expect_ghost_parity(h);
+  partition_at(h, {1, n - 1});
+  expect_ghost_parity(h);
+}
+
+TEST(ReadPaths, OwnedBlockEdgeCases2D) {
+  expect_owned_block_edge_cases<S2>();
+}
+
+TEST(ReadPaths, OwnedBlockEdgeCases3D) {
+  expect_owned_block_edge_cases<M3>();
 }
 
 using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
