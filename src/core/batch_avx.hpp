@@ -230,11 +230,11 @@ class AvxBatch {
 #endif
   }
 
-  // Note: successor (data-dependent carry chain) and less (branchy
-  // most-significant-differing-bit rule) have no lane-parallel form; the
-  // dispatch layer (BatchOps<AvxRep>) routes successor_n and less_mask to
-  // the shared scalar bodies directly, so AvxBatch has no entry points
-  // for them.
+  // Note: successor (data-dependent carry chain) has no lane-parallel
+  // form. less is branch-free (AvxRep::less), but no forest path calls
+  // less_mask, only tests, so it gets no kernel either. The dispatch layer
+  // (BatchOps<AvxRep>) routes successor_n and less_mask to the shared
+  // scalar bodies directly, so AvxBatch has no entry points for them.
 
   /// out[i] = child_id(in[i]); all inputs share \p level > 0. One AND +
   /// compare + byte movemask yields the direction bits of two quadrants.

@@ -190,7 +190,7 @@ class AvxRep {
     // Shift counts L - (l+1) computed in-register from the level lane:
     // no scalar extraction leaves the SIMD domain.
     const quad_t counts = quad_t::sub32(quad_t::broadcast32(max_level - 1),
-                                        q.broadcast_lane3());
+                                        q.template shuffle32<3, 3, 3, 3>());
     const quad_t r = q | quad_t::shlv32(insid, counts);
     return quad_t::add32(r, quad_t::set32(1, 0, 0, 0));
   }
@@ -201,7 +201,7 @@ class AvxRep {
     assert(level(q) > 0);
     // len = 1 << (L - l) per coordinate lane, derived in-register.
     const quad_t counts = quad_t::sub32(quad_t::broadcast32(max_level),
-                                        q.broadcast_lane3());
+                                        q.template shuffle32<3, 3, 3, 3>());
     const quad_t len = quad_t::shlv32(quad_t::set32(0, 1, 1, 1), counts);
     const quad_t r = quad_t::andnot(len, q);
     return quad_t::sub32(r, quad_t::set32(1, 0, 0, 0));
@@ -213,7 +213,7 @@ class AvxRep {
     assert(level(q) > 0);
     assert(s >= 0 && s < dims::num_children);
     const quad_t counts = quad_t::sub32(quad_t::broadcast32(max_level),
-                                        q.broadcast_lane3());
+                                        q.template shuffle32<3, 3, 3, 3>());
     const quad_t m = quad_t::shlv32(quad_t::set32(0, 1, 1, 1), counts);
     const quad_t dirbits = quad_t::set32(0, 4, 2, 1);
     const quad_t cond = quad_t::cmpeq32(
@@ -295,7 +295,7 @@ class AvxRep {
     // indexed from a table, shifted in-register by L - l), negated via the
     // two's-complement mask trick when f is a lower face.
     const quad_t counts = quad_t::sub32(quad_t::broadcast32(max_level),
-                                        q.broadcast_lane3());
+                                        q.template shuffle32<3, 3, 3, 3>());
     const quad_t delta = quad_t::shlv32(axis_unit(f >> 1), counts);
     const quad_t m = quad_t::broadcast32(
         static_cast<std::uint32_t>(f & 1) - 1u);  // 0 for +face, ~0 for -face
@@ -347,27 +347,37 @@ class AvxRep {
     return quad_t::equal(a, b);
   }
 
-  /// Morton order via the most-significant-differing-bit rule on the
-  /// XORed coordinate lanes (Tropf-Herzog), computed with one lane XOR.
+  /// Morton order (p4est_quadrant_compare), branch-free. The coordinate
+  /// lane owning the most significant differing bit of the XORed lanes
+  /// decides, z over y over x at equal bit position (interleaving
+  /// significance); equal coordinates fall through to the level lane.
+  /// msb(p) < msb(q) holds exactly when p < q && p < (p ^ q) (unsigned), so
+  /// one lane-wise pass evaluates it for the pairs (z,y), (z,x) and (y,x);
+  /// the winning lane is then read from one signed lane-wise compare of
+  /// b > a, which keeps exterior (negative) coordinates in order.
   static bool less(const quad_t& a, const quad_t& b) {
-    const quad_t d = a ^ b;
-    const auto dx = d.template lane32<0>();
-    const auto dy = d.template lane32<1>();
-    const auto dz = Dim == 3 ? d.template lane32<2>() : 0u;
-    if ((dx | dy | dz) == 0) {
-      return level(a) < level(b);
+    quad_t d = a ^ b;
+    if constexpr (Dim == 2) {
+      d = d & quad_t::set32(0, 0, ~0u, ~0u);
     }
-    // z over y over x at equal bit position (interleaving significance).
-    const int hx = bits::highest_bit(dx);
-    const int hy = bits::highest_bit(dy);
-    const int hz = bits::highest_bit(dz);
-    if (dz != 0 && hz >= hy && hz >= hx) {
-      return coord(a, 2) < coord(b, 2);
-    }
-    if (dy != 0 && hy >= hx) {
-      return coord(a, 1) < coord(b, 1);
-    }
-    return coord(a, 0) < coord(b, 0);
+    // Lanes 0..2 of (p, q) are (dz, dy), (dz, dx), (dy, dx); lane 3 pairs
+    // the level lane with itself and never sets a bit.
+    const quad_t p = d.template shuffle32<2, 2, 1, 3>();
+    const quad_t q = d.template shuffle32<1, 0, 0, 3>();
+    const quad_t sign = quad_t::broadcast32(0x80000000u);  // unsigned compare
+    const quad_t ps = p ^ sign;
+    const quad_t msb_lt = quad_t::cmpgt32(q ^ sign, ps) &
+                          quad_t::cmpgt32((p ^ q) ^ sign, ps);
+    const int m = msb_lt.movemask8();  // one nibble per lane
+    // z unless msb(dz) < msb(dy) or msb(dz) < msb(dx); else y unless
+    // msb(dy) < msb(dx); else x. Bit arithmetic, not a branch: the axis is
+    // data-dependent and would mispredict inside every sort and search.
+    const int z = (m & 0x011) == 0 ? 1 : 0;
+    const int y = (~m >> 8) & 1;
+    int lane = (z << 1) | (y & ~z);
+    // Equal coordinates leave m == 0, hence lane 2: step to the level lane.
+    lane += (d & quad_t::set32(0, ~0u, ~0u, ~0u)).all_zero() ? 1 : 0;
+    return ((quad_t::cmpgt32(b, a).movemask8() >> (4 * lane)) & 1) != 0;
   }
 
   static bool is_ancestor(const quad_t& a, const quad_t& b) {

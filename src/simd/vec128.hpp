@@ -142,10 +142,11 @@ struct Vec128 {
     return Vec128(_mm_blendv_epi8(no.v, yes.v, mask.v));
   }
 
-  /// Broadcast 32-bit lane 3 (the level lane) to all four lanes without
-  /// leaving the SIMD domain (one pshufd).
-  [[nodiscard]] Vec128 broadcast_lane3() const {
-    return Vec128(_mm_shuffle_epi32(v, 0xFF));
+  /// Lane permute with compile-time indices: lane k of the result is lane
+  /// Ik of this vector (one pshufd).
+  template <int I0, int I1, int I2, int I3>
+  [[nodiscard]] Vec128 shuffle32() const {
+    return Vec128(_mm_shuffle_epi32(v, I0 | (I1 << 2) | (I2 << 4) | (I3 << 6)));
   }
 
   /// Load four 32-bit lanes from 16-byte-aligned memory.
@@ -325,8 +326,9 @@ struct Vec128 {
     return m;
   }
 
-  [[nodiscard]] Vec128 broadcast_lane3() const {
-    return broadcast32(lanes[3]);
+  template <int I0, int I1, int I2, int I3>
+  [[nodiscard]] Vec128 shuffle32() const {
+    return set32(lanes[I3], lanes[I2], lanes[I1], lanes[I0]);
   }
 
   static Vec128 load_aligned(const std::uint32_t* p) {

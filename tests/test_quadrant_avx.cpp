@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
+#include "core/canonical.hpp"
 #include "core/quadrant_avx.hpp"
 #include "core/quadrant_std.hpp"
 #include "helpers.hpp"
@@ -110,6 +115,21 @@ TEST(Vec128, WithLane) {
   v = v.with_lane32<3>(0x42u);
   EXPECT_EQ(v.lane32<3>(), 0x42u);
   EXPECT_EQ(v.lane32<0>(), 0u);
+}
+
+TEST(Vec128, Shuffle32PermutesLanes) {
+  const Vec128 v = Vec128::set32(40, 30, 20, 10);
+  const Vec128 p = v.shuffle32<2, 2, 1, 3>();
+  EXPECT_EQ(p.lane32<0>(), 30u);
+  EXPECT_EQ(p.lane32<1>(), 30u);
+  EXPECT_EQ(p.lane32<2>(), 20u);
+  EXPECT_EQ(p.lane32<3>(), 40u);
+  const Vec128 r = v.shuffle32<3, 2, 1, 0>();
+  EXPECT_EQ(r.lane32<0>(), 40u);
+  EXPECT_EQ(r.lane32<1>(), 30u);
+  EXPECT_EQ(r.lane32<2>(), 20u);
+  EXPECT_EQ(r.lane32<3>(), 10u);
+  EXPECT_TRUE(Vec128::equal(v.shuffle32<0, 1, 2, 3>(), v));
 }
 
 TEST(Vec128, FeatureReport) {
@@ -286,6 +306,129 @@ TEST(AvxCompare, TotalOrderConsistency) {
       EXPECT_TRUE(A3::equal(a, b));
     }
   }
+}
+
+/// Quadrants (in StandardRep<Dim> coordinates) whose pairs exercise every
+/// case of the Morton compare: the top of the tree, deepest descendants,
+/// XOR patterns whose msb is shared by two or three lanes (the z > y > x
+/// tie order decides), a single differing lane, equal coordinates at
+/// different levels, the top in-root bit (AvxRep bit 29), the first
+/// exterior bit above the root, and exterior negative coordinates.
+template <int Dim>
+std::vector<typename StandardRep<Dim>::quad_t> compare_tie_set() {
+  using S = StandardRep<Dim>;
+  using Q = typename S::quad_t;
+  constexpr int L = S::max_level;
+  std::vector<Q> set;
+  for (int l = 0; l <= 2; ++l) {
+    for (morton_t i = 0; i < (morton_t{1} << (Dim * l)); ++i) {
+      const Q q = S::morton_quadrant(i, l);
+      set.push_back(q);
+      for (int c = 0; c < S::dims::num_children; ++c) {
+        set.push_back(S::child(q, c));
+      }
+      set.push_back(S::first_descendant(q, L));
+      set.push_back(S::last_descendant(q, L));
+    }
+  }
+  // Bit k set in every lane of a subset, with low-bit patterns below k in
+  // the other lanes: pairs share the msb across two or three lanes, or
+  // differ in one lane only. Bit L - 1 is AvxRep's top in-root bit 29.
+  const coord_t low[] = {0, 1, 3};
+  for (const int k : {0, 1, 7, L - 2, L - 1}) {
+    const coord_t bit = static_cast<coord_t>(1) << k;
+    for (int lanes = 0; lanes < (1 << Dim); ++lanes) {
+      for (const coord_t lo : low) {
+        const coord_t below = k > 2 ? lo : 0;
+        coord_t c[3] = {0, 0, 0};
+        for (int i = 0; i < Dim; ++i) {
+          c[i] = (lanes >> i & 1) ? bit : below;
+        }
+        set.push_back(S::from_coords(c[0], c[1], c[2], L));
+      }
+    }
+  }
+  // Equal coordinates at every level they are aligned to.
+  const coord_t mid = static_cast<coord_t>(1) << (L - 9);
+  for (int l = 9; l <= L; ++l) {
+    set.push_back(S::from_coords(mid, 0, mid, l));
+  }
+  // Exterior: one root length above (first bit above the root) and one
+  // quadrant length below (negative) on each axis, at several levels.
+  const coord_t root = static_cast<coord_t>(1) << L;
+  for (const int l : {0, 1, 3, L}) {
+    const coord_t h = S::length_at(l);
+    for (int axis = 0; axis < Dim; ++axis) {
+      for (const coord_t v : {-h, root}) {
+        coord_t c[3] = {0, 0, 0};
+        c[axis] = v;
+        set.push_back(S::from_coords(c[0], c[1], c[2], l));
+      }
+    }
+    set.push_back(S::from_coords(-h, -h, Dim == 3 ? -h : 0, l));
+    set.push_back(S::from_coords(-h, root, Dim == 3 ? -h : 0, l));
+  }
+  return set;
+}
+
+template <int Dim>
+void expect_less_matches_standard() {
+  using S = StandardRep<Dim>;
+  using R = AvxRep<Dim>;
+  const auto set = compare_tie_set<Dim>();
+  std::vector<typename R::quad_t> conv;
+  for (const auto& q : set) {
+    conv.push_back(convert<S, R>(q));
+  }
+  long ties2 = 0, ties3 = 0, single = 0, levels = 0, negative = 0;
+  long mismatches = 0;
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    for (std::size_t j = 0; j < set.size(); ++j) {
+      const bool want = S::less(set[i], set[j]);
+      const bool got = R::less(conv[i], conv[j]);
+      if (got != want && ++mismatches <= 5) {
+        ADD_FAILURE() << "less(" << i << ", " << j << ") = " << got
+                      << ", StandardRep says " << want;
+      }
+      if (S::equal(set[i], set[j])) {
+        EXPECT_FALSE(got);
+      }
+      // Classify the pair by its XOR pattern to prove the set covers it.
+      std::uint32_t d[3] = {0, 0, 0};
+      bool neg = false;
+      for (int a = 0; a < Dim; ++a) {
+        d[a] = static_cast<std::uint32_t>(S::coord(set[i], a)) ^
+               static_cast<std::uint32_t>(S::coord(set[j], a));
+        neg = neg || S::coord(set[i], a) < 0 || S::coord(set[j], a) < 0;
+      }
+      const int h[3] = {bits::highest_bit(d[0]), bits::highest_bit(d[1]),
+                        bits::highest_bit(d[2])};
+      const int top = std::max({h[0], h[1], h[2]});
+      const int owners = (h[0] == top) + (h[1] == top) + (h[2] == top);
+      const int nonzero = (d[0] != 0) + (d[1] != 0) + (d[2] != 0);
+      ties2 += top >= 0 && owners == 2;
+      ties3 += top >= 0 && owners == 3;
+      single += nonzero == 1;
+      levels += nonzero == 0 && S::level(set[i]) != S::level(set[j]);
+      negative += neg && top == 31;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_GT(ties2, 0);
+  if (Dim == 3) {
+    EXPECT_GT(ties3, 0);
+  }
+  EXPECT_GT(single, 0);
+  EXPECT_GT(levels, 0);
+  EXPECT_GT(negative, 0);
+}
+
+TEST(AvxCompare, TiePatternsMatchStandard2D) {
+  expect_less_matches_standard<2>();
+}
+
+TEST(AvxCompare, TiePatternsMatchStandard3D) {
+  expect_less_matches_standard<3>();
 }
 
 TEST(AvxDescendants, BracketQuadrant) {
