@@ -53,19 +53,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <exception>
-#include <functional>
+#include <iterator>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "core/batch_ops.hpp"
-#include "core/bits.hpp"
 #include "core/canonical.hpp"
 #include "core/debug_check.hpp"
 #include "core/rep_traits.hpp"
 #include "core/types.hpp"
 #include "forest/connectivity.hpp"
+#include "forest/leaf_grid.hpp"
 #include "forest/point_query.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -483,20 +482,21 @@ class Forest {
   /// Enforce the 2:1 level condition across the chosen neighbor relations
   /// (including across tree faces) by iterated splitting until fixpoint.
   ///
-  /// The mark phase is batched: each tree's leaves are staged into
-  /// level-uniform spans and all candidate neighbor keys are produced in
-  /// bulk through BatchOps<R>::neighbor_at_offset_n. Keys staying inside
-  /// their source tree (the vast majority) resolve against a per-tree
-  /// Morton-cell index (MarkGrid) with a range-local search of a handful
-  /// of leaves; keys crossing a tree face are bucketed by target tree and
-  /// resolved there with one sort + sorted-merge sweep over the target's
-  /// leaf array. Every mark sub-phase and the split apply run per tree on
-  /// the forest pool AND in leaf-span chunks within each tree (split-
-  /// bitmap marks use relaxed atomic stores, everything else stays chunk-
-  /// or tree-local). MarkGrids persist across fixpoint iterations and are
-  /// rebuilt only for trees whose leaves changed in the previous apply.
-  /// The scalar per-quadrant reference (one neighbor_at_offset + binary
-  /// search per (leaf, offset) pair) lives in tests/forest_oracle.hpp.
+  /// The mark phase is the balance user of the shared neighbor-key sweep
+  /// (neighbor_sweep): leaves are staged into level-uniform spans, every
+  /// candidate neighbor key is produced in bulk through
+  /// BatchOps<R>::neighbor_at_offset_n, keys staying inside their source
+  /// tree (the vast majority) resolve against the tree's LeafGrid with a
+  /// range-local search of a handful of leaves, and keys crossing a tree
+  /// face are bucketed by target tree and resolved there with one sort +
+  /// sorted-merge sweep. Balance's own per-key decision is the split mark:
+  /// the enclosing leaf is marked when it is two or more levels coarser
+  /// than the key. Every sub-phase and the split apply run per tree on the
+  /// forest pool AND in leaf-span chunks within each tree (split-bitmap
+  /// marks use relaxed atomic stores, everything else stays chunk- or
+  /// tree-local). Grids persist across fixpoint iterations and are rebuilt
+  /// only for trees whose leaves changed in the previous apply. The scalar
+  /// per-quadrant reference lives in tests/forest_oracle.hpp.
   ///
   /// The fixpoint is a worklist. Iteration 1 stages every leaf; iteration
   /// k+1 stages only the children iteration k's apply created and the
@@ -512,6 +512,8 @@ class Forest {
   void balance(BalanceKind kind = BalanceKind::kFull) {
     obs::TraceSpan span("forest", "balance");
     static obs::Counter& c_iterations = obs::counter("forest.balance.iterations");
+    static obs::Counter& c_staged =
+        obs::counter("forest.balance.staged_leaves");
     std::int64_t iterations = 0;
     bool any_changed = false;
     bool changed = true;
@@ -523,8 +525,7 @@ class Forest {
     std::vector<std::vector<std::uint8_t>> split(trees_.size());
     std::vector<std::vector<std::uint8_t>> recheck(trees_.size());
     std::vector<std::size_t> dirty;
-    std::vector<MarkGrid> grids(trees_.size());
-    std::vector<std::uint8_t> grid_valid(trees_.size(), 0);
+    std::vector<LeafGrid<R>> grids(trees_.size());
     for (std::size_t t = 0; t < trees_.size(); ++t) {
       recheck[t].assign(trees_[t].size(), 1);
     }
@@ -535,7 +536,7 @@ class Forest {
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           split[t].assign(trees_[t].size(), 0);
         }
-        mark_splits(kind, recheck, split, grids, grid_valid);
+        c_staged.add(mark_splits(kind, recheck, split, grids));
         dirty.clear();
         for (std::size_t t = 0; t < trees_.size(); ++t) {
           if (std::find(split[t].begin(), split[t].end(), 1) !=
@@ -554,48 +555,35 @@ class Forest {
                        nullptr, &recheck[t]);
         });
         for (const std::size_t t : dirty) {
-          grid_valid[t] = 0;  // leaves changed: the grid ranges are stale
+          grids[t].invalidate();  // leaves changed: the cell ranges are stale
+        }
+        if (changed) {
+          rebuild_offsets();  // the next sweep addresses leaves globally
         }
       }
     }, any_changed);
     if (any_changed) {
-      rebuild_offsets();
       partition();
     }
     span.arg("iterations", iterations);
     span.arg("leaves", static_cast<std::int64_t>(num_quadrants()));
   }
 
-  /// Check the 2:1 condition without modifying the forest.
+  /// Check the 2:1 condition without modifying the forest: one pass of
+  /// balance's mark phase with every leaf staged; balanced when nothing
+  /// marks.
   [[nodiscard]] bool is_balanced(BalanceKind kind = BalanceKind::kFull) const {
-    for (tree_id_t t = 0; t < num_trees(); ++t) {
-      for (const quad_t& q : trees_[static_cast<std::size_t>(t)]) {
-        const int lvl = R::level(q);
-        if (lvl < 2) {
-          continue;
-        }
-        const bool ok =
-            for_each_neighbor_offset(kind, [&](int dx, int dy, int dz) {
-              const auto nb = neighbor_at_offset(t, q, dx, dy, dz);
-              if (!nb.has_value()) {
-                return true;
-              }
-              const auto enclosing = find_enclosing_leaf(nb->tree, nb->quad);
-              if (enclosing.has_value()) {
-                const quad_t& leaf =
-                    trees_[static_cast<std::size_t>(nb->tree)][*enclosing];
-                if (R::level(leaf) < lvl - 1) {
-                  return false;  // violation: stop probing this leaf
-                }
-              }
-              return true;
-            });
-        if (!ok) {
-          return false;
-        }
-      }
+    std::vector<std::vector<std::uint8_t>> split(trees_.size());
+    std::vector<std::vector<std::uint8_t>> recheck(trees_.size());
+    for (std::size_t t = 0; t < trees_.size(); ++t) {
+      split[t].assign(trees_[t].size(), 0);
+      recheck[t].assign(trees_[t].size(), 1);
     }
-    return true;
+    std::vector<LeafGrid<R>> grids(trees_.size());
+    mark_splits(kind, recheck, split, grids);
+    return std::all_of(split.begin(), split.end(), [](const auto& marks) {
+      return std::find(marks.begin(), marks.end(), 1) == marks.end();
+    });
   }
 
   // ---------------------------------------------------------------- partition
@@ -656,18 +644,17 @@ class Forest {
 
   /// Remote leaves adjacent (faces, edges and corners) to \p rank's own.
   ///
-  /// The rank's leaf subrange of each involved tree is staged into
-  /// level-uniform spans per leaf chunk, every neighbor key is produced in bulk
-  /// through BatchOps<R>::neighbor_at_offset_n, keys staying in their source
-  /// tree resolve against a per-tree Morton-cell grid (MarkGrid) and keys
-  /// crossing a tree face are bucketed per target tree and resolved with one
-  /// sort + sorted-merge sweep — the read-side twin of the balance mark phase.
-  /// Trees and leaf chunks run in parallel on the forest pool. Keys whose
-  /// every touchable leaf is the rank's own are dropped before any lookup
-  /// (the owned-block early-out, see adjacency_scan), so the cost follows
-  /// the rank boundary rather than its volume. The parity reference (one
-  /// neighbor_at_offset + binary search per (leaf, offset) pair) is
-  /// oracle::ghost_set in tests/forest_oracle.hpp.
+  /// One adjacency_scan, the read-side user of the neighbor-key sweep that
+  /// also runs the balance mark phase: the rank's leaves emit every kFull
+  /// neighbor key in bulk, keys staying in their tree resolve against its
+  /// LeafGrid, keys crossing a tree face resolve per target tree with one
+  /// sort + sorted-merge sweep. Trees and leaf chunks run in parallel on
+  /// the forest pool. Keys whose every touchable leaf is the rank's own are
+  /// dropped before any lookup (the owned-block early-out, see
+  /// adjacency_scan), so the cost follows the rank boundary rather than its
+  /// volume. The parity reference (one neighbor_at_offset + binary search
+  /// per (leaf, offset) pair) is oracle::ghost_set in
+  /// tests/forest_oracle.hpp.
   [[nodiscard]] GhostLayer<R> ghost_layer(int rank) const {
     GhostLayer<R> ghost;
     const auto [first, last] = rank_range(rank);
@@ -841,15 +828,16 @@ class Forest {
   /// paper's future-work item 4): hanging pairs are emitted from the
   /// finer side, equal-size pairs from the globally lower leaf.
   ///
-  /// The leaf sweep runs per tree AND per leaf chunk on the forest pool, with
-  /// every face-neighbor key of a level-uniform span produced in bulk through
-  /// BatchOps<R>::neighbor_at_offset_n and resolved against the per-tree
-  /// Morton-cell grid; keys crossing a tree face are bucketed per target tree
-  /// and resolved with one sort + sorted-merge sweep. The emission ORDER is
-  /// unspecified and \p cb is invoked concurrently — it must be thread-safe,
-  /// with the same opt-outs as the adaptation callbacks (set_tree_parallelism /
-  /// set_intra_tree_parallelism). The serial, deterministic-order reference is
-  /// oracle::iterate_faces in tests/forest_oracle.hpp.
+  /// The kFace user of the neighbor-key sweep that also runs the balance
+  /// mark phase: per tree AND per leaf chunk on the forest pool, every
+  /// face-neighbor key is produced in bulk, resolved against the tree's
+  /// LeafGrid or, across a tree face, by one sort + sorted-merge sweep per
+  /// target tree, and applied to the exactly-once contract. The emission
+  /// ORDER is unspecified and \p cb is invoked concurrently — it must be
+  /// thread-safe, with the same opt-outs as the adaptation callbacks
+  /// (set_tree_parallelism / set_intra_tree_parallelism). The serial,
+  /// deterministic-order reference is oracle::iterate_faces in
+  /// tests/forest_oracle.hpp.
   template <class Fn>
   void iterate_faces(Fn&& cb) const {
     obs::TraceSpan span("forest", "iterate_faces");
@@ -987,13 +975,10 @@ class Forest {
     return std::nullopt;
   }
 
-  /// Invoke \p fn for every neighbor offset vector of the balance kind.
-  /// \p fn may return void, or bool where false stops the enumeration
-  /// early (the balance checkers bail at the first violation instead of
-  /// probing the remaining offsets). Returns whether the enumeration ran
-  /// to completion.
+  /// Invoke \p fn(dx, dy, dz) for every neighbor offset vector of the
+  /// balance kind.
   template <class Fn>
-  static bool for_each_neighbor_offset(BalanceKind kind, Fn&& fn) {
+  static void for_each_neighbor_offset(BalanceKind kind, Fn&& fn) {
     const int zlo = dim == 3 ? -1 : 0;
     const int zhi = dim == 3 ? 1 : 0;
     for (int dz = zlo; dz <= zhi; ++dz) {
@@ -1009,18 +994,10 @@ class Forest {
           if (kind == BalanceKind::kEdge && nz > 2) {
             continue;
           }
-          if constexpr (std::is_void_v<std::invoke_result_t<Fn&, int, int,
-                                                            int>>) {
-            fn(dx, dy, dz);
-          } else {
-            if (!fn(dx, dy, dz)) {
-              return false;
-            }
-          }
+          fn(dx, dy, dz);
         }
       }
     }
-    return true;
   }
 
  private:
@@ -1799,13 +1776,13 @@ class Forest {
   }
 
   /// Hand every target tree's incoming keys — all sources' buckets for
-  /// it, concatenated and sorted by curve order of \p key_of(key) — to
+  /// it, concatenated and sorted by curve order of their .key — to
   /// \p fn(target, keys), target-parallel. One serial pass groups the
   /// bucket pointers per target first, so the workers don't each scan
   /// every source (quadratic in num_trees on large bricks).
-  template <class Key, class KeyOf, class Fn>
+  template <class Key, class Fn>
   void for_each_target(const std::vector<std::vector<Bucket<Key>>>& sources,
-                       KeyOf key_of, Fn&& fn) const {
+                       Fn&& fn) const {
     std::vector<std::vector<const std::vector<Key>*>> incoming(
         trees_.size());
     for (const auto& buckets : sources) {
@@ -1827,7 +1804,7 @@ class Forest {
         keys.insert(keys.end(), part->begin(), part->end());
       }
       std::sort(keys.begin(), keys.end(), [&](const Key& x, const Key& y) {
-        return R::less(key_of(x), key_of(y));
+        return R::less(x.key, y.key);
       });
       fn(ti, keys);
     });
@@ -1861,203 +1838,115 @@ class Forest {
     });
   }
 
-  // ------------------------------------------------- balance mark phase
+  // ------------------------------------------------- neighbor-key sweep
 
-  /// Coarse Morton-cell index over one tree's leaf array: cell c of the
-  /// uniform level-`level` grid maps to the contiguous leaf index range
-  /// [begin[c], end[c]) of leaves intersecting it (contiguous because the
-  /// leaves are sorted along the curve and grid cells are aligned
-  /// blocks). An enclosing-leaf lookup then touches only the few leaves
-  /// of one cell instead of binary-searching the whole tree.
-  struct MarkGrid {
-    int level = 0;
-    std::vector<std::size_t> begin;
-    std::vector<std::size_t> end;
+  /// One same-level neighbor key of a swept leaf.
+  struct NeighborKey {
+    tree_id_t tree;        ///< the swept tree
+    std::size_t leaf;      ///< the source leaf's index in it
+    int dx, dy, dz;        ///< the neighbor offset, in leaf lengths
+    tree_id_t target;      ///< tree the key lands in; -1 beyond a boundary
+    CanonicalQuadrant nc;  ///< the key, in the target tree's frame
   };
 
-  /// One cross-tree candidate of the balance mark phase: the same-level
-  /// neighbor key re-encoded in the target tree's frame, and the source
-  /// leaf (tree, index) that emitted it — flagged in the worklist when
-  /// the key marks a split.
-  struct MarkKey {
-    quad_t key;
-    tree_id_t tree;
-    std::size_t index;
+  /// Trace span names of one sweep user's three sub-phases.
+  struct SweepSpans {
+    const char* grid;
+    const char* local;
+    const char* merge;
   };
 
-  /// Batched mark phase over the worklist \p recheck: only leaves whose
-  /// byte is set emit keys, staging clears the byte, and a leaf whose key
-  /// marks a split gets it set again — on return \p recheck holds the
-  /// leaves that marked. Three tree-parallel (and within each tree
-  /// chunk-parallel) passes:
-  ///   1. index: build each tree's Morton-cell MarkGrid — only for trees
-  ///      whose leaves changed since the grid was last built (the balance
-  ///      fixpoint loop reuses grids of unchanged trees across
-  ///      iterations);
-  ///   2. produce + resolve local: bulk-emit every candidate neighbor
-  ///      key through BatchOps<R>::neighbor_at_offset_n over
-  ///      level-uniform spans staged per leaf chunk; keys staying in the
-  ///      source tree (the vast majority) resolve immediately against its
-  ///      MarkGrid (split marks are relaxed atomic stores — chunks of one
-  ///      tree may mark the same leaf), keys that cross a tree face are
-  ///      bucketed per chunk and merged per target tree;
-  ///   3. resolve remote: each target tree sorts its incoming bucket and
-  ///      resolves it with a sorted-merge sweep, itself cut into key
-  ///      chunks that each start from one binary search.
-  void mark_splits(BalanceKind kind,
-                   std::vector<std::vector<std::uint8_t>>& recheck,
-                   std::vector<std::vector<std::uint8_t>>& split,
-                   std::vector<MarkGrid>& grids,
-                   std::vector<std::uint8_t>& grid_valid) const {
-    const std::size_t nt = trees_.size();
-    parallel_over(nt, [&](std::size_t ti) {
-      if (!grid_valid[ti]) {
-        build_mark_grid(ti, grids[ti]);
-        grid_valid[ti] = 1;
-      }
-    });
-    std::vector<std::vector<Bucket<MarkKey>>> cand(nt);
-    parallel_over(nt, [&](std::size_t ti) {
-      produce_and_mark_local(static_cast<tree_id_t>(ti), kind, grids[ti],
-                             recheck[ti], split[ti], cand[ti]);
-    });
-    for_each_target(
-        cand, [](const MarkKey& k) -> const quad_t& { return k.key; },
-        [&](std::size_t ti, const std::vector<MarkKey>& keys) {
-          mark_enclosing_merge(ti, keys, split[ti], recheck);
-        });
-  }
-
-  /// Set an idempotent mark byte (a split bitmap or worklist entry) that
-  /// concurrent workers may set too.
-  static void set_mark(std::uint8_t& byte) {
-    // mo: relaxed — idempotent mark byte; readers run after the marking
-    // region joins.
-    std::atomic_ref<std::uint8_t>(byte).store(1, std::memory_order_relaxed);
-  }
-
-  /// Build tree \p ti's MarkGrid. The grid level is chosen so cells hold
-  /// ~2+ leaves on average (a finer grid would cost more to build than it
-  /// saves); a leaf coarser than the grid covers an aligned block of
-  /// cells that is contiguous in cell-Morton order. The cell fill runs
-  /// chunk-parallel over the leaf array: chunks mostly write disjoint
-  /// cell ranges (the leaves are curve-sorted) but can meet on boundary
-  /// cells and coarse-leaf blocks, so the min/max folds are relaxed CAS
-  /// loops — every worker folds toward the same fixpoint, so the result
-  /// is order-independent.
-  void build_mark_grid(std::size_t ti, MarkGrid& g) const {
-    static obs::Counter& c_builds = obs::counter("forest.markgrid.builds");
-    c_builds.add(1);
-    const auto& tree = trees_[ti];
-    const std::size_t n = tree.size();
-    int lvl = 0;
-    while (lvl + 1 <= R::max_level &&
-           (std::size_t{1} << (dim * (lvl + 1))) * 2 <= n) {
-      ++lvl;
+  /// The neighbor-key sweep of the balance mark phase, the ghost adjacency
+  /// scan and face iteration, over the global leaf range [first, last) in
+  /// three sub-phases, each under its own trace span:
+  ///   1. grid: build the LeafGrid of every tree the range intersects
+  ///      whose grids[t] is not built (balance keeps the grids of
+  ///      unchanged trees across fixpoint iterations);
+  ///   2. local: sweep_tree over each tree's part of the range,
+  ///      tree-parallel; on_key resolves the keys staying in their tree
+  ///      against grids[t] and returns the Key to bucket for a key that
+  ///      crosses a tree face (std::nullopt drops it);
+  ///   3. merge: each target tree's incoming keys, concatenated and
+  ///      sorted by curve order of their .key, go to
+  ///      on_target(target, keys), target-parallel.
+  /// Chunk is one leaf chunk's private state (counters, emission lists);
+  /// every chunk's state is returned, in tree and chunk order.
+  template <class Key, class Chunk, class Stage, class OnKey, class OnTarget>
+  std::vector<Chunk> neighbor_sweep(const SweepSpans& spans, gidx_t first,
+                                    gidx_t last, BalanceKind kind,
+                                    std::vector<LeafGrid<R>>& grids,
+                                    Stage&& stage, OnKey&& on_key,
+                                    OnTarget&& on_target) const {
+    std::vector<Chunk> chunks;
+    if (first >= last) {
+      return chunks;
     }
-    g.level = lvl;
-    const std::size_t cells = std::size_t{1} << (dim * lvl);
-    g.begin.assign(cells, n);
-    g.end.assign(cells, 0);
-    const int shift = kCanonicalLevel - lvl;
-    parallel_chunks(n, chunk_grain(),
-                    [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        const CanonicalQuadrant c = to_canonical<R>(tree[i]);
-        const std::uint64_t c0 =
-            cell_morton(g, c.x >> shift, c.y >> shift, c.z >> shift);
-        std::uint64_t c1 = c0;
-        if (c.level < lvl) {
-          c1 = c0 + (std::uint64_t{1} << (dim * (lvl - c.level))) - 1;
+    const auto [t0, i0] = locate(first);
+    const auto [t1, i1] = locate(last - 1);
+    const auto base = static_cast<std::size_t>(t0);
+    const std::size_t nscan = static_cast<std::size_t>(t1 - t0) + 1;
+    {
+      const obs::TraceSpan span("forest", spans.grid);
+      parallel_over(nscan, [&](std::size_t k) {
+        if (!grids[base + k].built()) {
+          grids[base + k].build(trees_[base + k],
+                                [](std::size_t n, auto&& fill) {
+                                  parallel_chunks(n, chunk_grain(), fill);
+                                });
         }
-        for (std::uint64_t cc = c0; cc <= c1; ++cc) {
-          atomic_fold_min(g.begin[cc], i);
-          atomic_fold_max(g.end[cc], i + 1);
-        }
-      }
-    });
-  }
-
-  static void atomic_fold_min(std::size_t& slot, std::size_t v) {
-    const std::atomic_ref<std::size_t> a(slot);
-    // mo: relaxed — commutative min fold; the grid is read only after
-    // the building parallel region joins.
-    std::size_t cur = a.load(std::memory_order_relaxed);
-    while (v < cur &&
-           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+      });
     }
-  }
-
-  static void atomic_fold_max(std::size_t& slot, std::size_t v) {
-    const std::atomic_ref<std::size_t> a(slot);
-    // mo: relaxed — commutative max fold; the grid is read only after
-    // the building parallel region joins.
-    std::size_t cur = a.load(std::memory_order_relaxed);
-    while (v > cur &&
-           !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    std::vector<std::vector<Bucket<Key>>> buckets(nscan);
+    std::vector<std::vector<Chunk>> tree_chunks(nscan);
+    {
+      const obs::TraceSpan span("forest", spans.local);
+      parallel_over(nscan, [&, i0 = i0, i1 = i1](std::size_t k) {
+        const auto ti = base + k;
+        const std::size_t a = k == 0 ? i0 : 0;
+        const std::size_t b = k + 1 == nscan ? i1 + 1 : trees_[ti].size();
+        tree_chunks[k] = sweep_tree<Key, Chunk>(static_cast<tree_id_t>(ti), a,
+                                                b, kind, stage, on_key,
+                                                buckets[k]);
+      });
     }
-  }
-
-  static std::uint64_t cell_morton(const MarkGrid& g, std::int64_t cx,
-                                   std::int64_t cy, std::int64_t cz) {
-    if constexpr (dim == 3) {
-      return bits::interleave3(static_cast<std::uint32_t>(cx),
-                               static_cast<std::uint32_t>(cy),
-                               static_cast<std::uint32_t>(cz));
-    } else {
-      (void)cz;
-      return bits::interleave2(static_cast<std::uint32_t>(cx),
-                               static_cast<std::uint32_t>(cy));
+    {
+      const obs::TraceSpan span("forest", spans.merge);
+      for_each_target(buckets, on_target);
     }
+    for (auto& per_tree : tree_chunks) {
+      std::move(per_tree.begin(), per_tree.end(), std::back_inserter(chunks));
+    }
+    return chunks;
   }
 
-  /// Phase 2 worker: stage tree \p t's worklist leaves (\p recheck set,
-  /// cleared as they are staged) into level-uniform spans (leaves of
-  /// level < 2 emit nothing — their neighbors can never be two levels
-  /// coarser) and emit every neighbor-offset key in bulk. The tree's leaf
-  /// array is cut into chunks; each chunk stages its own leaves and
-  /// processes its own spans. Keys staying inside the tree resolve
-  /// against the (shared, read-only) MarkGrid on the spot with relaxed
-  /// atomic split marks, and a key that marks sets its source leaf's
-  /// \p recheck byte again (a plain store: the source belongs to this
-  /// chunk alone); keys crossing a tree face are wrapped into the
-  /// neighbor tree's frame and bucketed per chunk with their source,
-  /// merged into \p out afterwards. Keys leaving the
-  /// physical domain are dropped. A periodic wrap back into the source
-  /// tree counts as local (target == t) and also resolves here.
-  void produce_and_mark_local(tree_id_t t, BalanceKind kind,
-                              const MarkGrid& grid,
-                              std::vector<std::uint8_t>& recheck,
-                              std::vector<std::uint8_t>& split,
-                              std::vector<Bucket<MarkKey>>& out) const {
-    static obs::Counter& c_staged =
-        obs::counter("forest.balance.staged_leaves");
-    const auto ti = static_cast<std::size_t>(t);
-    const auto& tree = trees_[ti];
+  /// Sweep leaves [a, b) of tree \p t in chunks (chunk-parallel): each
+  /// chunk stages the leaves i with stage(chunk, t, i) into level-uniform
+  /// spans (IndexedSpanStage keeps the source indices), produces every
+  /// neighbor key of \p kind per span through
+  /// BatchOps<R>::neighbor_at_offset_n, wraps it onto the tree grid and
+  /// hands it to on_key(chunk, key). Keys on_key returns are bucketed per
+  /// chunk and target tree, then merged into \p out. Returns the chunk
+  /// states.
+  template <class Key, class Chunk, class Stage, class OnKey>
+  std::vector<Chunk> sweep_tree(tree_id_t t, std::size_t a, std::size_t b,
+                                BalanceKind kind, Stage& stage, OnKey& on_key,
+                                std::vector<Bucket<Key>>& out) const {
+    const auto& tree = trees_[static_cast<std::size_t>(t)];
     const std::size_t grain = chunk_grain();
-    std::vector<std::vector<Bucket<MarkKey>>> chunk_out(
-        batch::chunk_count(tree.size(), grain));
-    parallel_chunks(tree.size(), grain,
+    const std::size_t nchunks = batch::chunk_count(b - a, grain);
+    std::vector<Chunk> chunks(nchunks);
+    std::vector<std::vector<Bucket<Key>>> chunk_out(nchunks);
+    parallel_chunks(b - a, grain,
                     [&](std::size_t c, std::size_t cb, std::size_t ce) {
-      auto& mine = chunk_out[c];
+      Chunk& chunk = chunks[c];
       IndexedSpanStage<R> staged;
-      std::size_t nstaged = 0;
-      for (std::size_t i = cb; i < ce; ++i) {
-        if (recheck[i] == 0) {
-          continue;
-        }
-        recheck[i] = 0;
-        if (R::level(tree[i]) >= 2) {
+      for (std::size_t i = a + cb; i < a + ce; ++i) {
+        if (stage(chunk, t, i)) {
           staged.add(tree[i], i);
-          ++nstaged;
         }
       }
-      if (nstaged == 0) {
-        return;
-      }
-      c_staged.add(nstaged);
       std::vector<std::int64_t> ox, oy, oz;
-      for (std::size_t l = 2; l < staged.num_levels(); ++l) {
+      for (std::size_t l = 0; l < staged.num_levels(); ++l) {
         const auto& span = staged.span(l);
         if (span.empty()) {
           continue;
@@ -2075,117 +1964,133 @@ class Forest {
             std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
             std::array<int, 3> step{};
             const tree_id_t target = wrap_to_tree(t, pos, step);
-            if (target < 0) {
-              continue;  // physical boundary
-            }
-            const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
-                                       static_cast<int>(l)};
-            if (target == t) {
-              if (resolve_mark(ti, grid, nc, split)) {
-                recheck[src[i]] = 1;
-              }
-            } else {
-              bucket_for(mine, target)
-                  .push_back(MarkKey{from_canonical<R>(nc), t, src[i]});
+            const NeighborKey key{
+                t, src[i], dx, dy, dz, target,
+                CanonicalQuadrant{pos[0], pos[1], pos[2],
+                                  static_cast<int>(l)}};
+            if (std::optional<Key> bucketed = on_key(chunk, key)) {
+              bucket_for(chunk_out[c], target).push_back(*bucketed);
             }
           }
         });
       }
     });
     merge_buckets(chunk_out, out);
+    return chunks;
   }
 
-  /// Grid-accelerated find_enclosing_leaf for a canonical key inside
-  /// tree \p ti: the enclosing leaf, if any, intersects the grid cell
-  /// containing the key's corner, so the range-local upper_bound equals
-  /// the global one whenever an enclosure exists (an out-of-range
-  /// predecessor cannot be an ancestor — ancestors contain the corner and
-  /// hence the cell). Shared by the balance mark phase and the batched
-  /// face iteration.
-  [[nodiscard]] std::optional<std::size_t> resolve_enclosing_grid(
-      std::size_t ti, const MarkGrid& g, const CanonicalQuadrant& nc) const {
-    const auto& tree = trees_[ti];
-    const int shift = kCanonicalLevel - g.level;
-    const std::uint64_t cell =
-        cell_morton(g, nc.x >> shift, nc.y >> shift, nc.z >> shift);
-    const std::size_t lo = g.begin[cell];
-    const std::size_t hi = g.end[cell];
-    if (lo >= hi) {
-      return std::nullopt;
-    }
-    const quad_t key = from_canonical<R>(nc);
-    const auto first = tree.begin() + static_cast<std::ptrdiff_t>(lo);
-    const auto last = tree.begin() + static_cast<std::ptrdiff_t>(hi);
-    const auto it = std::upper_bound(first, last, key, RepLess<R>{});
-    if (it == first) {
-      return std::nullopt;
-    }
-    const auto idx = static_cast<std::size_t>(it - tree.begin()) - 1;
-    const quad_t& leaf = tree[idx];
-    if (R::equal(leaf, key) || R::is_ancestor(leaf, key)) {
-      return idx;
-    }
-    return std::nullopt;
-  }
+  // ------------------------------------------------- balance mark phase
 
-  /// Resolve one candidate key against tree \p ti via its MarkGrid and
-  /// mark the enclosing leaf when it is two or more levels coarser than
-  /// the key (a 2:1 violation); returns whether it marked. The mark is a
-  /// relaxed atomic store (set_mark): concurrent chunk workers of one
-  /// tree may mark the same leaf.
-  bool resolve_mark(std::size_t ti, const MarkGrid& g,
-                    const CanonicalQuadrant& nc,
-                    std::vector<std::uint8_t>& split) const {
-    const auto enclosing = resolve_enclosing_grid(ti, g, nc);
-    if (!enclosing.has_value() ||
-        R::level(trees_[ti][*enclosing]) >= nc.level - 1) {
-      return false;
-    }
-    set_mark(split[*enclosing]);
-    return true;
-  }
+  /// One cross-tree candidate of the balance mark phase: the same-level
+  /// neighbor key re-encoded in the target tree's frame, and the source
+  /// leaf (tree, index) that emitted it — flagged in the worklist when
+  /// the key marks a split.
+  struct MarkKey {
+    quad_t key;
+    tree_id_t tree;
+    std::size_t index;
+  };
 
-  /// Phase 3 worker: resolve one target tree's curve-sorted cross-tree
-  /// keys with a merge_sweep instead of one find_enclosing_leaf each. The
-  /// enclosing leaf is marked when it is two or more levels coarser than
-  /// the key (a 2:1 violation), and the key's source leaf is flagged in
-  /// the worklist \p recheck, both via relaxed atomic stores (adjacent
-  /// key chunks can resolve to the same leaf, and other target trees'
-  /// workers can flag the same source); keys whose region is covered by
-  /// finer leaves have no enclosure and mark nothing.
-  void mark_enclosing_merge(std::size_t ti, const std::vector<MarkKey>& keys,
-                            std::vector<std::uint8_t>& split,
-                            std::vector<std::vector<std::uint8_t>>& recheck)
-      const {
-    const auto& tree = trees_[ti];
-    merge_sweep(
-        ti, keys, chunk_grain(),
-        [](const MarkKey& k) -> const quad_t& { return k.key; },
-        [&](std::size_t, std::size_t kk, std::ptrdiff_t j) {
-          if (j < 0) {
-            return;
+  /// Balance's mark phase, one neighbor_sweep over the worklist
+  /// \p recheck: only leaves of level >= 2 (their neighbors can never be
+  /// two levels coarser) whose byte is set emit keys, staging clears the
+  /// byte, and a leaf whose key marks a split gets it set again — on
+  /// return \p recheck holds the leaves that marked. A key marks its
+  /// enclosing leaf when that is two or more levels coarser (a 2:1
+  /// violation); keys whose region is covered by finer leaves mark
+  /// nothing. Split marks are relaxed atomic stores (chunks of one tree,
+  /// and adjacent key chunks of the merge, may mark the same leaf); a
+  /// local key sets its source's byte with a plain store (the source
+  /// belongs to the chunk alone), a cross-tree key with a relaxed atomic
+  /// store (other target trees' workers may flag the same source).
+  /// Returns the number of leaves staged.
+  std::size_t mark_splits(BalanceKind kind,
+                          std::vector<std::vector<std::uint8_t>>& recheck,
+                          std::vector<std::vector<std::uint8_t>>& split,
+                          std::vector<LeafGrid<R>>& grids) const {
+    struct Staged {
+      std::size_t leaves = 0;
+    };
+    const std::vector<Staged> chunks = neighbor_sweep<MarkKey, Staged>(
+        {"balance.grid", "balance.local", "balance.merge"}, 0,
+        num_quadrants(), kind, grids,
+        [&](Staged& s, tree_id_t t, std::size_t i) {
+          const auto ti = static_cast<std::size_t>(t);
+          const bool staged =
+              recheck[ti][i] != 0 && R::level(trees_[ti][i]) >= 2;
+          recheck[ti][i] = 0;
+          s.leaves += staged ? 1 : 0;
+          return staged;
+        },
+        [&](Staged&, const NeighborKey& k) -> std::optional<MarkKey> {
+          if (k.target < 0) {
+            return std::nullopt;  // physical boundary
           }
-          const MarkKey& mk = keys[kk];
-          const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-          if (R::level(leaf) < R::level(mk.key) - 1 &&
-              (R::equal(leaf, mk.key) || R::is_ancestor(leaf, mk.key))) {
-            set_mark(split[static_cast<std::size_t>(j)]);
-            set_mark(recheck[static_cast<std::size_t>(mk.tree)][mk.index]);
+          if (k.target != k.tree) {
+            return MarkKey{from_canonical<R>(k.nc), k.tree, k.leaf};
           }
+          const auto ti = static_cast<std::size_t>(k.tree);
+          const auto enclosing = grids[ti].enclosing(k.nc);
+          if (enclosing.has_value() &&
+              R::level(trees_[ti][*enclosing]) < k.nc.level - 1) {
+            set_mark(split[ti][*enclosing]);
+            recheck[ti][k.leaf] = 1;
+          }
+          return std::nullopt;
+        },
+        [&](std::size_t ti, const std::vector<MarkKey>& keys) {
+          merge_sweep(
+              ti, keys, chunk_grain(),
+              [](const MarkKey& k) -> const quad_t& { return k.key; },
+              [&](std::size_t, std::size_t kk, std::ptrdiff_t j) {
+                const MarkKey& mk = keys[kk];
+                if (j < 0) {
+                  return;
+                }
+                const auto lj = static_cast<std::size_t>(j);
+                const quad_t& leaf = trees_[ti][lj];
+                if (R::level(leaf) < R::level(mk.key) - 1 &&
+                    (R::equal(leaf, mk.key) || R::is_ancestor(leaf, mk.key))) {
+                  set_mark(split[ti][lj]);
+                  set_mark(recheck[static_cast<std::size_t>(mk.tree)]
+                                  [mk.index]);
+                }
+              });
         });
+    std::size_t staged = 0;
+    for (const Staged& s : chunks) {
+      staged += s.leaves;
+    }
+    return staged;
+  }
+
+  /// Set an idempotent mark byte (a split bitmap or worklist entry) that
+  /// concurrent workers may set too.
+  static void set_mark(std::uint8_t& byte) {
+    // mo: relaxed — idempotent mark byte; readers run after the marking
+    // region joins.
+    std::atomic_ref<std::uint8_t>(byte).store(1, std::memory_order_relaxed);
   }
 
   // ------------------------------------------------- ghost adjacency scan
 
-  /// One cross-tree adjacency key of the batched scan: the same-level
-  /// neighbor key re-encoded in the target tree's frame, the reference
-  /// leaf's canonical domain translated into that frame (the finer-run
-  /// touch filter needs it), and the source leaf's global index (the
-  /// emission of mirrors mode).
+  /// One cross-tree adjacency key of the scan: the same-level neighbor key
+  /// re-encoded in the target tree's frame, the reference leaf's canonical
+  /// domain translated into that frame (the finer-run touch filter needs
+  /// it), and the source leaf's global index (the emission of mirrors
+  /// mode).
   struct GhostKey {
     quad_t key;
     CanonicalQuadrant ref;
     gidx_t source;
+  };
+
+  /// One leaf chunk's emissions and key counts in the adjacency scan.
+  struct ScanChunk {
+    std::vector<gidx_t> seen;
+    std::uint64_t local_keys = 0;
+    std::uint64_t merge_keys = 0;
+    std::uint64_t owned_skips = 0;
   };
 
   /// Shared core of ghost_layer and mirrors: scan the leaves of the
@@ -2196,285 +2101,114 @@ class Forest {
   /// mirrors; the touch relation is symmetric, so one pass over the own
   /// leaves replaces recomputing every other rank's ghost layer).
   ///
-  /// The read-side twin of mark_splits, in two phases:
-  ///   A. per involved tree (only trees intersecting the rank range),
-  ///      build a MarkGrid, then sweep the rank's leaf subrange in
-  ///      chunks — each chunk stages its leaves into level-uniform spans
-  ///      (IndexedSpanStage keeps the source leaf indices), bulk-emits
-  ///      every kFull neighbor key through neighbor_at_offset_n, resolves
-  ///      keys staying in the tree against the grid on the spot and
-  ///      buckets keys crossing a tree face per target;
-  ///   B. per target tree, concatenate + sort the incoming keys by curve
-  ///      order and resolve them with a chunked sorted-merge sweep.
-  /// The reference domain needed by the finer-run touch filter comes for
-  /// free: in the target frame it is the wrapped key position minus the
-  /// offset displacement (the wrap translation cancels axis by axis).
+  /// The read-side user of neighbor_sweep: a key reports the leaves it
+  /// touches (for_each_touching: the enclosure, else the run of finer
+  /// descendants filtered by canonical_touch), a local key through its
+  /// tree's grid, a cross-tree key from its target's merge_sweep cursor.
+  /// The reference domain needed by the touch filter comes for free: in
+  /// the target frame it is the wrapped key position minus the offset
+  /// displacement (the wrap translation cancels axis by axis). Emissions
+  /// collect per leaf chunk and per key chunk, so workers never share a
+  /// sink.
   ///
   /// Owned-block early-out: both modes emit only when a touched leaf lies
   /// outside [first, last). Every leaf a local key's lookup can report
-  /// intersects the key's domain and so lies in its grid_block range;
-  /// when that range is inside the rank's subrange [a, b) of the tree the
-  /// key cannot emit and is dropped before any re-encoding or search.
-  /// Likewise a cross-tree key whose whole target tree lies inside
-  /// [first, last) is dropped before bucketing. forest.scan.owned_skips
-  /// counts both; forest.scan.local_keys / merge_keys still count every
-  /// produced key.
+  /// intersects the key's domain and so lies in its LeafGrid::block
+  /// range; when that range is inside [first, last) the key cannot emit
+  /// and is dropped before any re-encoding or search. Likewise a
+  /// cross-tree key whose whole target tree lies inside [first, last) is
+  /// dropped before bucketing. forest.scan.owned_skips counts both;
+  /// forest.scan.local_keys / merge_keys still count every produced key.
   [[nodiscard]] std::vector<gidx_t> adjacency_scan(gidx_t first, gidx_t last,
                                                    bool sources) const {
     obs::TraceSpan span("forest", "adjacency_scan");
     span.arg("range", static_cast<std::int64_t>(last - first));
-    std::vector<gidx_t> seen;
-    if (first >= last) {
-      return seen;
-    }
-    const auto [t0, i0] = locate(first);
-    const auto [t1, i1] = locate(last - 1);
-    const std::size_t nscan = static_cast<std::size_t>(t1 - t0) + 1;
-    std::vector<MarkGrid> grids(nscan);
-    parallel_over(nscan, [&, t0 = t0](std::size_t k) {
-      build_mark_grid(static_cast<std::size_t>(t0) + k, grids[k]);
-    });
-    const std::size_t grain = chunk_grain();
     static obs::Counter& c_local = obs::counter("forest.scan.local_keys");
     static obs::Counter& c_merge = obs::counter("forest.scan.merge_keys");
     static obs::Counter& c_skips = obs::counter("forest.scan.owned_skips");
-    std::vector<std::vector<gidx_t>> tree_seen(nscan);
-    std::vector<std::vector<Bucket<GhostKey>>> buckets(nscan);
-    parallel_over(nscan, [&, t0 = t0, t1 = t1, i0 = i0,
-                          i1 = i1](std::size_t k) {
-      const auto t = static_cast<tree_id_t>(static_cast<std::size_t>(t0) + k);
-      const auto ti = static_cast<std::size_t>(t);
-      const auto& tree = trees_[ti];
-      const MarkGrid& grid = grids[k];
-      const std::size_t a = t == t0 ? i0 : 0;
-      const std::size_t b = t == t1 ? i1 + 1 : tree.size();
-      const std::size_t m = b - a;
-      const std::size_t nchunks = batch::chunk_count(m, grain);
-      std::vector<std::vector<gidx_t>> chunk_seen(nchunks);
-      std::vector<std::vector<Bucket<GhostKey>>> chunk_buckets(nchunks);
-      parallel_chunks(m, grain,
-                      [&](std::size_t c, std::size_t cb, std::size_t ce) {
-        auto& my_seen = chunk_seen[c];
-        auto& my_buckets = chunk_buckets[c];
-        std::size_t local_keys = 0;
-        std::size_t merge_keys = 0;
-        std::size_t owned_skips = 0;
-        IndexedSpanStage<R> staged;
-        for (std::size_t i = cb; i < ce; ++i) {
-          staged.add(tree[a + i], a + i);
-        }
-        std::vector<std::int64_t> ox, oy, oz;
-        for (std::size_t l = 0; l < staged.num_levels(); ++l) {
-          const auto& span = staged.span(l);
-          if (span.empty()) {
-            continue;
+    const auto outside = [&](gidx_t g) { return g < first || g >= last; };
+    const auto owned = [&](gidx_t lo, gidx_t hi) {
+      return lo >= first && hi <= last;
+    };
+    const auto ref_of = [](const NeighborKey& k) {
+      const std::int64_t h = std::int64_t{1}
+                             << (kCanonicalLevel - k.nc.level);
+      return CanonicalQuadrant{k.nc.x - k.dx * h, k.nc.y - k.dy * h,
+                               k.nc.z - k.dz * h, k.nc.level};
+    };
+    std::vector<LeafGrid<R>> grids(trees_.size());
+    std::vector<std::vector<std::vector<gidx_t>>> target_seen(trees_.size());
+    std::vector<ScanChunk> chunks = neighbor_sweep<GhostKey, ScanChunk>(
+        {"adjacency_scan.grid", "adjacency_scan.local",
+         "adjacency_scan.merge"},
+        first, last, BalanceKind::kFull, grids,
+        [](ScanChunk&, tree_id_t, std::size_t) { return true; },
+        [&](ScanChunk& ch, const NeighborKey& k) -> std::optional<GhostKey> {
+          if (k.target < 0) {
+            return std::nullopt;  // physical boundary
           }
-          const auto& src = staged.sources(l);
-          ox.resize(span.size());
-          oy.resize(span.size());
-          oz.resize(span.size());
-          const std::int64_t h = std::int64_t{1}
-                                 << (kCanonicalLevel - static_cast<int>(l));
-          for_each_neighbor_offset(BalanceKind::kFull,
-                                   [&](int dx, int dy, int dz) {
-            BatchOps<R>::neighbor_at_offset_n(span.data(), ox.data(),
-                                              oy.data(), oz.data(),
-                                              span.size(), dx, dy, dz,
-                                              static_cast<int>(l));
-            for (std::size_t i = 0; i < span.size(); ++i) {
-              std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-              std::array<int, 3> step{};
-              const tree_id_t target = wrap_to_tree(t, pos, step);
-              if (target < 0) {
-                continue;  // physical boundary
-              }
-              const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
-                                         static_cast<int>(l)};
-              const CanonicalQuadrant ref{pos[0] - dx * h, pos[1] - dy * h,
-                                          pos[2] - dz * h,
-                                          static_cast<int>(l)};
-              if (target == t) {
-                ++local_keys;
-                const auto block = grid_block(grid, nc);
-                if (block.first >= a && block.second <= b) {
-                  ++owned_skips;  // every touchable leaf is the rank's own
-                  continue;
-                }
-                const gidx_t src_g = global_index(t, src[i]);
-                resolve_touching_local(
-                    ti, block, nc, ref, [&](std::size_t leaf_idx) {
-                      const gidx_t lg = global_index(t, leaf_idx);
-                      if (lg < first || lg >= last) {
-                        my_seen.push_back(sources ? src_g : lg);
-                      }
-                    });
-              } else {
-                ++merge_keys;
-                const auto ut = static_cast<std::size_t>(target);
-                if (tree_offsets_[ut] >= first &&
-                    tree_offsets_[ut + 1] <= last) {
-                  ++owned_skips;  // the whole target tree is the rank's own
-                  continue;
-                }
-                bucket_for(my_buckets, target)
-                    .push_back(GhostKey{from_canonical<R>(nc), ref,
-                                        global_index(t, src[i])});
-              }
+          const gidx_t src = global_index(k.tree, k.leaf);
+          if (k.target != k.tree) {
+            ++ch.merge_keys;
+            const auto ut = static_cast<std::size_t>(k.target);
+            if (owned(tree_offsets_[ut], tree_offsets_[ut + 1])) {
+              ++ch.owned_skips;  // the whole target tree is the rank's own
+              return std::nullopt;
+            }
+            return GhostKey{from_canonical<R>(k.nc), ref_of(k), src};
+          }
+          ++ch.local_keys;
+          const LeafGrid<R>& grid = grids[static_cast<std::size_t>(k.tree)];
+          const auto block = grid.block(k.nc);
+          const gidx_t base = global_index(k.tree, 0);
+          if (owned(base + static_cast<gidx_t>(block.first),
+                    base + static_cast<gidx_t>(block.second))) {
+            ++ch.owned_skips;  // every touchable leaf is the rank's own
+            return std::nullopt;
+          }
+          grid.touching(k.nc, block, ref_of(k), [&](std::size_t leaf) {
+            const gidx_t lg = base + static_cast<gidx_t>(leaf);
+            if (outside(lg)) {
+              ch.seen.push_back(sources ? src : lg);
             }
           });
-        }
-        if (local_keys > 0) {
-          c_local.add(local_keys);
-        }
-        if (merge_keys > 0) {
-          c_merge.add(merge_keys);
-        }
-        if (owned_skips > 0) {
-          c_skips.add(owned_skips);
-        }
-      });
-      auto& ts = tree_seen[k];
-      for (const auto& cs : chunk_seen) {
-        ts.insert(ts.end(), cs.begin(), cs.end());
-      }
-      merge_buckets(chunk_buckets, buckets[k]);
-    });
-    // Phase B: resolve each target tree's incoming keys.
-    std::vector<std::vector<gidx_t>> target_seen(trees_.size());
-    for_each_target(
-        buckets, [](const GhostKey& gk) -> const quad_t& { return gk.key; },
+          return std::nullopt;
+        },
         [&](std::size_t ti, const std::vector<GhostKey>& keys) {
-          resolve_touching_merge(ti, first, last, sources, keys,
-                                 target_seen[ti]);
+          const auto& tree = trees_[ti];
+          const gidx_t base = global_index(static_cast<tree_id_t>(ti), 0);
+          auto& out = target_seen[ti];
+          out.resize(batch::chunk_count(keys.size(), chunk_grain()));
+          merge_sweep(
+              ti, keys, chunk_grain(),
+              [](const GhostKey& gk) -> const quad_t& { return gk.key; },
+              [&](std::size_t c, std::size_t kk, std::ptrdiff_t j) {
+                const GhostKey& gk = keys[kk];
+                for_each_touching<R>(
+                    tree, 0, static_cast<std::size_t>(j + 1), tree.size(),
+                    gk.key, gk.ref, [&](std::size_t leaf) {
+                      const gidx_t lg = base + static_cast<gidx_t>(leaf);
+                      if (outside(lg)) {
+                        out[c].push_back(sources ? gk.source : lg);
+                      }
+                    });
+              });
         });
-    std::size_t total = 0;
-    for (const auto& part : tree_seen) {
-      total += part.size();
+    std::vector<gidx_t> seen;
+    for (const ScanChunk& ch : chunks) {
+      seen.insert(seen.end(), ch.seen.begin(), ch.seen.end());
+      c_local.add(ch.local_keys);
+      c_merge.add(ch.merge_keys);
+      c_skips.add(ch.owned_skips);
     }
-    for (const auto& part : target_seen) {
-      total += part.size();
-    }
-    seen.reserve(total);
-    for (const auto& part : tree_seen) {
-      seen.insert(seen.end(), part.begin(), part.end());
-    }
-    for (const auto& part : target_seen) {
-      seen.insert(seen.end(), part.begin(), part.end());
+    for (const auto& per_target : target_seen) {
+      for (const auto& part : per_target) {
+        seen.insert(seen.end(), part.begin(), part.end());
+      }
     }
     std::sort(seen.begin(), seen.end());
     seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
     return seen;
-  }
-
-  /// The leaf range [begin[c0], end[c1]) of the aligned MarkGrid cell
-  /// block [c0, c1] covered by key \p nc: a superset of the leaves that
-  /// intersect (and hence may touch) the key's domain. Empty (lo >= hi)
-  /// only for an incomplete tree.
-  static std::pair<std::size_t, std::size_t> grid_block(
-      const MarkGrid& g, const CanonicalQuadrant& nc) {
-    const int shift = kCanonicalLevel - g.level;
-    const std::uint64_t c0 =
-        cell_morton(g, nc.x >> shift, nc.y >> shift, nc.z >> shift);
-    std::uint64_t c1 = c0;
-    if (nc.level < g.level) {
-      c1 = c0 + (std::uint64_t{1} << (dim * (g.level - nc.level))) - 1;
-    }
-    return {g.begin[c0], g.end[c1]};
-  }
-
-  /// Grid-accelerated touching-leaf lookup for a key staying in its
-  /// source tree, over the key's grid_block leaf range [lo, hi) — the
-  /// leaves intersecting the key's domain: the range-local upper_bound
-  /// finds the enclosing leaf if one exists (emitted unconditionally: an
-  /// enclosing leaf always touches the reference, which is adjacent to
-  /// the key region it contains); otherwise the key's descendants form a
-  /// contiguous run starting right at that upper_bound, filtered by the
-  /// canonical touch test. (Excluding the reference leaf itself, which a
-  /// periodic wrap can land on, is vacuous here: finer-run leaves are
-  /// strictly finer than the same-level reference, so they can never
-  /// equal it.) Every emitted leaf lies in [lo, hi), which is what lets
-  /// adjacency_scan skip a key whose block is the rank's own.
-  template <class Fn>
-  void resolve_touching_local(std::size_t ti,
-                              std::pair<std::size_t, std::size_t> block,
-                              const CanonicalQuadrant& nc,
-                              const CanonicalQuadrant& ref, Fn&& fn) const {
-    const auto& tree = trees_[ti];
-    const auto [lo, hi] = block;
-    if (lo >= hi) {
-      return;  // defensive: a complete tree always intersects the block
-    }
-    const quad_t key = from_canonical<R>(nc);
-    const auto range_first = tree.begin() + static_cast<std::ptrdiff_t>(lo);
-    const auto range_last = tree.begin() + static_cast<std::ptrdiff_t>(hi);
-    const auto it =
-        std::upper_bound(range_first, range_last, key, RepLess<R>{});
-    if (it != range_first) {
-      const auto idx = static_cast<std::size_t>(it - tree.begin()) - 1;
-      const quad_t& leaf = tree[idx];
-      if (R::equal(leaf, key) || R::is_ancestor(leaf, key)) {
-        fn(idx);
-        return;
-      }
-    }
-    for (auto cur = it; cur != range_last; ++cur) {
-      if (!R::is_ancestor(key, *cur)) {
-        break;
-      }
-      if (canonical_touch<dim>(to_canonical<R>(*cur), ref)) {
-        fn(static_cast<std::size_t>(cur - tree.begin()));
-      }
-    }
-  }
-
-  /// Phase B worker of the adjacency scan: resolve one target tree's
-  /// curve-sorted cross-tree keys with a merge_sweep. Enclosures emit
-  /// unconditionally; finer runs scan forward from the cursor with the
-  /// canonical touch filter against the key's translated reference.
-  /// Emissions collect into per-chunk vectors (concatenated at the end)
-  /// so the chunk workers never share a sink.
-  void resolve_touching_merge(std::size_t ti, gidx_t first, gidx_t last,
-                              bool sources,
-                              const std::vector<GhostKey>& keys,
-                              std::vector<gidx_t>& out) const {
-    const auto& tree = trees_[ti];
-    const auto t = static_cast<tree_id_t>(ti);
-    const auto n = static_cast<std::ptrdiff_t>(tree.size());
-    const std::size_t grain = chunk_grain();
-    std::vector<std::vector<gidx_t>> chunk_out(
-        batch::chunk_count(keys.size(), grain));
-    merge_sweep(
-        ti, keys, grain,
-        [](const GhostKey& gk) -> const quad_t& { return gk.key; },
-        [&](std::size_t c, std::size_t kk, std::ptrdiff_t j) {
-          const GhostKey& gk = keys[kk];
-          auto emit = [&](std::ptrdiff_t leaf_idx) {
-            const gidx_t lg =
-                global_index(t, static_cast<std::size_t>(leaf_idx));
-            if (lg < first || lg >= last) {
-              chunk_out[c].push_back(sources ? gk.source : lg);
-            }
-          };
-          if (j >= 0) {
-            const quad_t& leaf = tree[static_cast<std::size_t>(j)];
-            if (R::equal(leaf, gk.key) || R::is_ancestor(leaf, gk.key)) {
-              emit(j);
-              return;
-            }
-          }
-          for (std::ptrdiff_t r = j + 1; r < n; ++r) {
-            const quad_t& leaf = tree[static_cast<std::size_t>(r)];
-            if (!R::is_ancestor(gk.key, leaf)) {
-              break;
-            }
-            if (canonical_touch<dim>(to_canonical<R>(leaf), gk.ref)) {
-              emit(r);
-            }
-          }
-        });
-    for (const auto& mine : chunk_out) {
-      out.insert(out.end(), mine.begin(), mine.end());
-    }
   }
 
   /// Recursive completeness test of a leaf span against an ancestor.
@@ -2547,80 +2281,38 @@ class Forest {
     int face;
   };
 
-  /// The face sweep of iterate_faces: per tree (tree-parallel), sweep the
-  /// leaves in chunks — each chunk stages its leaves into level-uniform
-  /// spans with their source indices and bulk-emits all 2*dim
-  /// face-neighbor keys per span; local keys resolve against the tree's
-  /// MarkGrid, cross-tree keys are bucketed and resolved per target with a
-  /// merge_sweep. Every resolved pair goes through report_face; keys whose
-  /// neighbor region is finer emit nothing (those finer leaves emit
-  /// toward us).
+  /// The face sweep of iterate_faces, the kFace user of neighbor_sweep
+  /// over every leaf: face f = 2 * axis + (offset > 0). Boundary keys,
+  /// local keys resolved against the tree's LeafGrid and cross-tree keys
+  /// resolved per target from a merge_sweep cursor all go through
+  /// report_face; keys whose neighbor region is finer emit nothing (those
+  /// finer leaves emit toward us).
   template <class Fn>
   void sweep_faces(Fn& cb) const {
-    const std::size_t nt = trees_.size();
-    std::vector<MarkGrid> grids(nt);
-    parallel_over(nt, [&](std::size_t ti) { build_mark_grid(ti, grids[ti]); });
-    const std::size_t grain = chunk_grain();
-    std::vector<std::vector<Bucket<FaceKey>>> buckets(nt);
-    parallel_over(nt, [&](std::size_t ti) {
-      const auto t = static_cast<tree_id_t>(ti);
-      const auto& tree = trees_[ti];
-      const MarkGrid& grid = grids[ti];
-      const std::size_t nchunks = batch::chunk_count(tree.size(), grain);
-      std::vector<std::vector<Bucket<FaceKey>>> chunk_buckets(nchunks);
-      parallel_chunks(tree.size(), grain,
-                      [&](std::size_t c, std::size_t cb_, std::size_t ce) {
-        IndexedSpanStage<R> staged;
-        for (std::size_t i = cb_; i < ce; ++i) {
-          staged.add(tree[i], i);
-        }
-        std::vector<std::int64_t> ox, oy, oz;
-        for (std::size_t l = 0; l < staged.num_levels(); ++l) {
-          const auto& span = staged.span(l);
-          if (span.empty()) {
-            continue;
-          }
-          const auto& src = staged.sources(l);
-          ox.resize(span.size());
-          oy.resize(span.size());
-          oz.resize(span.size());
-          for (int f = 0; f < dims::num_faces; ++f) {
-            const int axis = f >> 1;
-            const int sign = (f & 1) ? 1 : -1;
-            const int dx = axis == 0 ? sign : 0;
-            const int dy = axis == 1 ? sign : 0;
-            const int dz = axis == 2 ? sign : 0;
-            BatchOps<R>::neighbor_at_offset_n(span.data(), ox.data(),
-                                              oy.data(), oz.data(),
-                                              span.size(), dx, dy, dz,
-                                              static_cast<int>(l));
-            for (std::size_t i = 0; i < span.size(); ++i) {
-              std::int64_t pos[3] = {ox[i], oy[i], oz[i]};
-              std::array<int, 3> step{};
-              const tree_id_t target = wrap_to_tree(t, pos, step);
-              const CanonicalQuadrant nc{pos[0], pos[1], pos[2],
-                                         static_cast<int>(l)};
-              if (target < 0) {
-                report_face(cb, t, src[i], span[i], f, -1, 0);  // boundary
-              } else if (target != t) {
-                bucket_for(chunk_buckets[c], target)
-                    .push_back(FaceKey{from_canonical<R>(nc), t, src[i], f});
-              } else if (const auto enclosing =
-                             resolve_enclosing_grid(ti, grid, nc)) {
-                report_face(cb, t, src[i], span[i], f, t, *enclosing);
-              }  // else the neighbor region is finer: it emits toward us
-            }
-          }
-        }
-      });
-      merge_buckets(chunk_buckets, buckets[ti]);
-    });
-    for_each_target(
-        buckets, [](const FaceKey& fk) -> const quad_t& { return fk.key; },
+    struct NoState {};
+    std::vector<LeafGrid<R>> grids(trees_.size());
+    neighbor_sweep<FaceKey, NoState>(
+        {"iterate_faces.grid", "iterate_faces.local", "iterate_faces.merge"},
+        0, num_quadrants(), BalanceKind::kFace, grids,
+        [](NoState&, tree_id_t, std::size_t) { return true; },
+        [&](NoState&, const NeighborKey& k) -> std::optional<FaceKey> {
+          const int axis = k.dx != 0 ? 0 : (k.dy != 0 ? 1 : 2);
+          const int f = 2 * axis + (k.dx + k.dy + k.dz > 0 ? 1 : 0);
+          if (k.target < 0) {
+            report_face(cb, k.tree, k.leaf, f, -1, 0);  // physical boundary
+          } else if (k.target != k.tree) {
+            return FaceKey{from_canonical<R>(k.nc), k.tree, k.leaf, f};
+          } else if (const auto enclosing =
+                         grids[static_cast<std::size_t>(k.tree)].enclosing(
+                             k.nc)) {
+            report_face(cb, k.tree, k.leaf, f, k.tree, *enclosing);
+          }  // else the neighbor region is finer: it emits toward us
+          return std::nullopt;
+        },
         [&](std::size_t ti, const std::vector<FaceKey>& keys) {
           const auto& tree = trees_[ti];
           merge_sweep(
-              ti, keys, grain,
+              ti, keys, chunk_grain(),
               [](const FaceKey& fk) -> const quad_t& { return fk.key; },
               [&](std::size_t, std::size_t kk, std::ptrdiff_t j) {
                 const FaceKey& fk = keys[kk];
@@ -2629,25 +2321,24 @@ class Forest {
                 }
                 const quad_t& leaf = tree[static_cast<std::size_t>(j)];
                 if (R::equal(leaf, fk.key) || R::is_ancestor(leaf, fk.key)) {
-                  report_face(cb, fk.src_tree, fk.src_leaf,
-                              trees_[static_cast<std::size_t>(fk.src_tree)]
-                                    [fk.src_leaf],
-                              fk.face, static_cast<tree_id_t>(ti),
+                  report_face(cb, fk.src_tree, fk.src_leaf, fk.face,
+                              static_cast<tree_id_t>(ti),
                               static_cast<std::size_t>(j));
                 }  // else the neighbor region is finer: it emits toward us
               });
         });
   }
 
-  /// Apply iterate_faces's exactly-once contract to leaf \p i (= \p q)
-  /// of tree \p t across face \p f, whose face neighbor resolved to the
+  /// Apply iterate_faces's exactly-once contract to leaf \p i of tree
+  /// \p t across face \p f, whose face neighbor resolved to the
   /// enclosing leaf \p j of tree \p nt (\p nt < 0: physical boundary):
   /// equal-size pairs are emitted only from the globally lower leaf;
   /// otherwise the enclosing neighbor is coarser and side 0 is the
   /// hanging side.
   template <class Fn>
-  void report_face(Fn& cb, tree_id_t t, std::size_t i, const quad_t& q,
-                   int f, tree_id_t nt, std::size_t j) const {
+  void report_face(Fn& cb, tree_id_t t, std::size_t i, int f, tree_id_t nt,
+                   std::size_t j) const {
+    const quad_t& q = trees_[static_cast<std::size_t>(t)][i];
     FaceInfo<R> info;
     info.tree[0] = t;
     info.quad[0] = q;

@@ -10,13 +10,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <mutex>
 #include <set>
-#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "differential.hpp"
 #include "forest/forest.hpp"
 #include "forest/vforest.hpp"
 #include "forest_oracle.hpp"
@@ -27,15 +26,8 @@ namespace qforest {
 namespace {
 
 using test::BatchFlagGuard;
-
-/// Restores the chunk grain (tests shrink it to force many chunks).
-struct ChunkGrainGuard {
-  explicit ChunkGrainGuard(std::size_t grain) : saved_(chunk_grain()) {
-    set_chunk_grain(grain);
-  }
-  ~ChunkGrainGuard() { set_chunk_grain(saved_); }
-  std::size_t saved_;
-};
+using test::ChunkGrainGuard;
+using test::face_fingerprint;
 
 /// A mixed-level forest: refine a deterministic scatter of leaves so the
 /// mesh has hanging interfaces in every tree.
@@ -232,24 +224,6 @@ TEST(ReadPaths, OwnedBlockEdgeCases2D) {
 
 TEST(ReadPaths, OwnedBlockEdgeCases3D) {
   expect_owned_block_edge_cases<M3>();
-}
-
-using FaceTuple = std::tuple<bool, bool, tree_id_t, std::size_t, int,
-                             tree_id_t, std::size_t, int>;
-
-/// Order-independent fingerprint of one face iteration \p iterate(cb):
-/// one canonical tuple per emission.
-template <class R, class Iterate>
-std::multiset<FaceTuple> face_fingerprint(Iterate&& iterate) {
-  std::multiset<FaceTuple> out;
-  std::mutex mu;
-  iterate([&](const FaceInfo<R>& info) {
-    const std::lock_guard<std::mutex> lock(mu);
-    out.insert({info.is_boundary, info.is_hanging, info.tree[0],
-                info.leaf_index[0], info.face[0], info.tree[1],
-                info.leaf_index[1], info.face[1]});
-  });
-  return out;
 }
 
 template <class R>
